@@ -1,8 +1,8 @@
 // Shared setup for the paper-reproduction benchmarks. All benchmarks run
-// the simulated cluster with constants scaled 1/64 from the paper
-// (DESIGN.md Section 2): τ = 256 KB memtables, 2 MB/s + 1.5 ms-seek disks,
-// "10 GB database" ≙ 160k 1 KB records. Durations are scaled so every
-// binary finishes in tens of seconds; pass --seconds=N to lengthen runs.
+// the simulated cluster with constants scaled 1/64 from the paper:
+// τ = 256 KB memtables, 2 MB/s + 1.5 ms-seek disks, "10 GB database" ≙
+// 160k 1 KB records. Durations are scaled so every binary finishes in
+// tens of seconds; pass --seconds=N to lengthen runs.
 #ifndef NOVA_BENCH_BENCH_COMMON_H_
 #define NOVA_BENCH_BENCH_COMMON_H_
 
@@ -135,7 +135,7 @@ inline coord::ClusterOptions PaperScaledOptions(int ltcs, int stocs) {
 inline void PrintHeader(const char* title) {
   printf("==================================================================\n");
   printf("%s\n", title);
-  printf("(simulated cluster, constants scaled 1/64 — see DESIGN.md)\n");
+  printf("(simulated cluster, constants scaled 1/64 from the paper)\n");
   printf("==================================================================\n");
   fflush(stdout);
 }

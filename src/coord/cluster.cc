@@ -37,11 +37,8 @@ void Cluster::WireStoc(int index) {
               stoc::FileIdRange(job.inputs[0]->meta_replicas[0].file_id);
         }
         lsm::TableCache cache(stoc_clients_[index].get());
-        lsm::PlacementOptions p = options_.placement;
-        p.stocs = AliveStocNodes();
-        p.range_id = range_id;
-        p.max_sstable_size = options_.range.max_sstable_size;
-        lsm::SSTablePlacer placer(stoc_clients_[index].get(), p);
+        lsm::SSTablePlacer placer(stoc_clients_[index].get(),
+                                  PlacementFor(range_id, AliveStocNodes()));
         lsm::CompactionExecutor exec(&cache, &placer,
                                      stocs_[index]->throttle());
         lsm::CompactionResult result;
@@ -58,6 +55,15 @@ ltc::RangeEngineOptions Cluster::RangeOptionsFor(const RangeAssignment& r) {
   opt.lower = r.lower;
   opt.upper = r.upper;
   return opt;
+}
+
+lsm::PlacementOptions Cluster::PlacementFor(
+    uint32_t range_id, const std::vector<rdma::NodeId>& stocs) const {
+  lsm::PlacementOptions p = options_.placement;
+  p.stocs = stocs;
+  p.range_id = range_id;
+  p.max_sstable_size = options_.range.max_sstable_size;
+  return p;
 }
 
 void Cluster::RefreshPlacements() {
@@ -121,11 +127,7 @@ void Cluster::Start() {
 
     ltc::RangeEngine* engine =
         ltcs_[a.ltc_index]->AddRange(RangeOptionsFor(a), stoc_nodes);
-    lsm::PlacementOptions p = options_.placement;
-    p.stocs = stoc_nodes;
-    p.range_id = a.range_id;
-    p.max_sstable_size = options_.range.max_sstable_size;
-    engine->placer()->set_options(p);
+    engine->placer()->set_options(PlacementFor(a.range_id, stoc_nodes));
   }
   for (int i = 0; i < options_.num_stocs; i++) {
     config.alive_stocs.push_back(i);
@@ -312,11 +314,7 @@ Status Cluster::RecoverLtcRanges(int crashed_ltc, int dst_ltc,
     }
     ltc::RangeEngine* engine = ltcs_[target]->AddRangeForRecovery(
         RangeOptionsFor(r), stoc_nodes);
-    lsm::PlacementOptions p = options_.placement;
-    p.stocs = stoc_nodes;
-    p.range_id = r.range_id;
-    p.max_sstable_size = options_.range.max_sstable_size;
-    engine->placer()->set_options(p);
+    engine->placer()->set_options(PlacementFor(r.range_id, stoc_nodes));
     Status s = engine->RecoverFromManifest(recovery_threads);
     if (!s.ok() && !s.IsNotFound()) {
       return s;
@@ -366,11 +364,7 @@ Status Cluster::MigrateRange(uint32_t range_id, int dst_ltc,
   std::vector<rdma::NodeId> stoc_nodes = AliveStocNodes();
   ltc::RangeEngine* engine = ltcs_[dst_ltc]->AddRangeForRecovery(
       RangeOptionsFor(*assignment), stoc_nodes);
-  lsm::PlacementOptions p = options_.placement;
-  p.stocs = stoc_nodes;
-  p.range_id = range_id;
-  p.max_sstable_size = options_.range.max_sstable_size;
-  engine->placer()->set_options(p);
+  engine->placer()->set_options(PlacementFor(range_id, stoc_nodes));
   Status s = engine->InstallFromMigrationState(state, recovery_threads);
   if (!s.ok()) {
     return s;

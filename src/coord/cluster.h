@@ -1,9 +1,8 @@
 // In-process simulated cluster: η LTCs + β StoCs on one RDMA fabric, each
 // node with its own CPU throttle, and each StoC with its own simulated
 // disk and durable block store (which survive StoC crashes). This is the
-// repo's stand-in for the paper's 10-node CloudLab testbed (DESIGN.md
-// Section 2) and the entry point used by integration tests, benchmarks
-// and examples.
+// repo's stand-in for the paper's 10-node CloudLab testbed and the entry
+// point used by integration tests, benchmarks and examples.
 #ifndef NOVA_COORD_CLUSTER_H_
 #define NOVA_COORD_CLUSTER_H_
 
@@ -100,6 +99,9 @@ class Cluster {
   void WireStoc(int index);
   void RefreshPlacements();
   ltc::RangeEngineOptions RangeOptionsFor(const RangeAssignment& r);
+  /// The placement template filled in for one range over `stocs`.
+  lsm::PlacementOptions PlacementFor(
+      uint32_t range_id, const std::vector<rdma::NodeId>& stocs) const;
 
   ClusterOptions options_;
   rdma::RdmaFabric fabric_;

@@ -29,14 +29,14 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
                          const std::vector<rdma::NodeId>& stocs,
                          sim::CpuThrottle* throttle, ThreadPool* flush_pool,
                          ThreadPool* compaction_pool, Cache* block_cache,
-                         Cache* compressed_cache)
+                         Cache* compressed_cache, int readahead_blocks)
     : options_(options),
       client_(client),
       stocs_(stocs),
-      throttle_(throttle == nullptr ? sim::CpuThrottle::Unlimited()
-                                    : throttle),
+      throttle_(throttle),
       flush_pool_(flush_pool),
-      compaction_pool_(compaction_pool) {
+      compaction_pool_(compaction_pool),
+      compressor_(GetCompressor(options_.compression_codec)) {
   DrangeOptions dopt = options_.drange;
   drange_ = std::make_unique<DrangeManager>(options_.lower, options_.upper,
                                             dopt);
@@ -44,35 +44,10 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
       options_.lsm, [this](const Slice& record) {
         return ManifestAppend(record);
       });
-  if (block_cache == nullptr && options_.block_cache_bytes > 0) {
-    owned_block_cache_.reset(NewShardedLRUCache(
-        options_.block_cache_bytes, /*shard_bits=*/4,
-        options_.cache_hot_fraction));
-    block_cache = owned_block_cache_.get();
-  }
-  block_cache_ = block_cache;
-  if (compressed_cache == nullptr && options_.compressed_cache_bytes > 0) {
-    // The compressed tier is a plain LRU: everything in it is already
-    // "cold storage" relative to the hot tier, so no two-queue split.
-    owned_compressed_cache_.reset(NewShardedLRUCache(
-        options_.compressed_cache_bytes, /*shard_bits=*/4,
-        /*hot_fraction=*/1.0));
-    compressed_cache = owned_compressed_cache_.get();
-  }
-  compressed_cache_ = compressed_cache;
-  // 0 = unset: standalone engines default to the fast built-in codec;
-  // -1 (or any negative) forces raw blocks.
-  int codec = options_.compression_codec;
-  if (codec == 0) {
-    codec = kNovaLzCompression;
-  }
-  compressor_ = codec > 0 ? GetCompressor(static_cast<uint8_t>(codec))
-                          : nullptr;
   table_cache_ = std::make_unique<lsm::TableCache>(
-      client_, block_cache_, options_.range_id,
-      /*cache_data_blocks=*/block_cache_ != nullptr,
-      std::max(0, options_.readahead_blocks), &readahead_counters_,
-      compressed_cache_);
+      client_, block_cache, options_.range_id,
+      /*cache_data_blocks=*/block_cache != nullptr, readahead_blocks,
+      &readahead_counters_, compressed_cache);
   lsm::PlacementOptions popt;
   popt.stocs = stocs;
   popt.range_id = options_.range_id;
@@ -82,28 +57,12 @@ RangeEngine::RangeEngine(const RangeEngineOptions& options,
       table_cache_.get(), placer_.get(), throttle_);
   CompactionSchedulerOptions sched_opt;
   sched_opt.offload = options_.offload_compaction;
-  sched_opt.max_jobs_per_stoc = options_.max_compaction_jobs > 0
-                                    ? options_.max_compaction_jobs
-                                    : 2;
   scheduler_ =
       std::make_unique<CompactionScheduler>(client_, stocs, sched_opt);
   logc_ = std::make_unique<logc::LogClient>(client_, options_.range_id,
                                             options_.log);
   range_index_ =
       std::make_unique<RangeIndex>(options_.lower, options_.upper);
-  // Read-path knobs override the shared client's policy when set (the
-  // usual single-tenant configuration gives every range the same values;
-  // with differing values the last-constructed range wins).
-  if (options_.read_replica_d != 0 || options_.read_hedging != 0) {
-    stoc::ReadPolicy policy = client_->read_policy();
-    if (options_.read_replica_d != 0) {
-      policy.replica_d = std::max(1, options_.read_replica_d);
-    }
-    if (options_.read_hedging != 0) {
-      policy.hedge = options_.read_hedging > 0;
-    }
-    client_->set_read_policy(policy);
-  }
 }
 
 RangeEngine::~RangeEngine() { stopping_.store(true); }
@@ -1149,11 +1108,11 @@ void RangeEngine::ScheduleCompactions() {
     }
     job.max_output_bytes = options_.max_sstable_size;
     // The gather pipeline depth travels with the job so an offloaded run
-    // honors this LTC's knob (-1 = forced serial).
-    job.readahead_blocks = std::max(0, options_.compaction_readahead_blocks);
+    // honors this range's knob.
+    job.readahead_blocks = options_.compaction_readahead_blocks;
     // The output codec travels with the job too: an offloaded StoC must
     // write blocks this LTC can read back.
-    job.compression_codec = compressor_ != nullptr ? compressor_->id() : 0;
+    job.compression_codec = options_.compression_codec;
     uint64_t estimate =
         job.total_input_bytes() / std::max<uint64_t>(1, job.max_output_bytes) +
         job.boundaries.size() + 4;
@@ -1648,17 +1607,6 @@ RangeStats RangeEngine::stats() const {
   {
     std::lock_guard<std::mutex> l(stats_mu_);
     out = stats_;
-  }
-  if (owned_block_cache_ != nullptr) {
-    // Shared caches are reported once at the LtcServer level instead.
-    out.block_cache_hits = owned_block_cache_->hits();
-    out.block_cache_misses = owned_block_cache_->misses();
-    out.block_cache_bytes = owned_block_cache_->TotalCharge();
-  }
-  if (owned_compressed_cache_ != nullptr) {
-    out.block_cache_compressed_hits = owned_compressed_cache_->hits();
-    out.block_cache_compressed_misses = owned_compressed_cache_->misses();
-    out.block_cache_compressed_bytes = owned_compressed_cache_->TotalCharge();
   }
   out.readahead_issued =
       readahead_counters_.issued.load(std::memory_order_relaxed);

@@ -38,6 +38,7 @@
 #include "ltc/range_index.h"
 #include "mem/memtable.h"
 #include "sim/cpu_throttle.h"
+#include "util/compressor.h"
 #include "util/thread_pool.h"
 
 namespace nova {
@@ -67,53 +68,20 @@ struct RangeEngineOptions {
 
   lsm::LsmOptions lsm;
   logc::LogOptions log;
-  /// Data-block cache budget for the StoC read path when this engine runs
-  /// standalone (no cache passed to the constructor). 0 = no data-block
-  /// caching, every read fetches from a StoC. Engines hosted by an
-  /// LtcServer normally share one node-wide cache instead
-  /// (LtcServerOptions::block_cache_bytes).
-  size_t block_cache_bytes = 0;
-  /// Compressed-block cache budget (the second tier: verbatim stored
-  /// bytes, served by decompressing in LTC memory instead of a StoC
-  /// round-trip) when this engine runs standalone. 0 = no compressed
-  /// tier. LtcServer-hosted engines share the node-wide tier instead
-  /// (LtcServerOptions::compressed_cache_bytes).
-  size_t compressed_cache_bytes = 0;
-  /// Codec data blocks are written with (CompressionCodec id). 0 = unset —
-  /// LtcServer-hosted engines inherit LtcServerOptions::compression_codec,
-  /// standalone engines default to kNovaLzCompression; -1 = force raw.
-  int compression_codec = 0;
-  /// Hot-tier fraction of a privately owned block cache (see
-  /// NewShardedLRUCache); >= 1 disables the two-queue split.
-  double cache_hot_fraction = 0.75;
-  /// Scan readahead: how many data blocks an SSTable scan iterator keeps
-  /// in flight past its position (prefetched into the block cache while
-  /// the current block drains). 0 = unset — LtcServer-hosted engines
-  /// inherit LtcServerOptions::readahead_blocks; -1 = force off.
-  int readahead_blocks = 0;
+  /// Codec data blocks are written with (a CompressionCodec id);
+  /// kNoCompression stores raw blocks (still trailer-checksummed).
+  CompressionCodec compression_codec = kNovaLzCompression;
   uint64_t max_sstable_size = 512 << 10;
   int max_parallel_compactions = 4;
+  /// Compaction input-gather pipeline depth: data blocks each input
+  /// stream keeps in flight while the merge drains the current one
+  /// (travels with offloaded jobs). 0 = serial.
+  int compaction_readahead_blocks = 0;
   /// Offload compaction jobs to StoCs (Section 4.3); the scheduler picks
   /// the least-loaded StoC and falls back to local execution.
   bool offload_compaction = false;
-  /// In-flight offloaded jobs per StoC before new jobs run locally
-  /// instead. 0 = unset — LtcServer-hosted engines inherit
-  /// LtcServerOptions::max_compaction_jobs.
-  int max_compaction_jobs = 0;
-  /// Compaction input-gather pipeline depth: data blocks each input
-  /// stream keeps in flight while the merge drains the current one
-  /// (travels with offloaded jobs). 0 = unset — inherit
-  /// LtcServerOptions::compaction_readahead_blocks; -1 = force serial.
-  int compaction_readahead_blocks = 0;
   /// Replicas of the MANIFEST file.
   int manifest_replicas = 1;
-  /// Read-path power-of-d: replicas a multi-replica StoC read fans out to
-  /// (first success wins). 0 = unset — LtcServer-hosted engines inherit
-  /// LtcServerOptions::read_replica_d; -1 = force single-replica.
-  int read_replica_d = 0;
-  /// Speculative hedging of straggling StoC reads. 0 = unset — inherit
-  /// LtcServerOptions::read_hedging; 1 = on; -1 = force off.
-  int read_hedging = 0;
 };
 
 struct RangeStats {
@@ -128,9 +96,9 @@ struct RangeStats {
   uint64_t bytes_flushed = 0;
   uint64_t lookup_index_hits = 0;
   uint64_t lookup_index_misses = 0;
-  /// Data-block cache counters. Filled from the engine's privately owned
-  /// cache; when ranges share an LTC-wide cache the per-range numbers stay
-  /// zero and LtcServer::TotalStats() reports the shared cache once.
+  /// Data-block cache counters. The cache belongs to the LTC and is shared
+  /// by its ranges, so per-range numbers stay zero and
+  /// LtcServer::TotalStats() reports the node cache once.
   uint64_t block_cache_hits = 0;
   uint64_t block_cache_misses = 0;
   uint64_t block_cache_bytes = 0;
@@ -228,17 +196,16 @@ class RangeEngine {
  public:
   /// stocs: the StoCs this range may use (log files, manifest, SSTables —
   /// the placer's list governs SSTable placement and may differ).
-  /// block_cache (optional): node-wide data-block cache shared by every
-  /// range on the LTC; when null and options.block_cache_bytes > 0 the
-  /// engine creates a private one.
-  /// compressed_cache (optional): node-wide compressed block tier; when
-  /// null and options.compressed_cache_bytes > 0 the engine creates a
-  /// private one.
+  /// The throttle, pools, caches and scan readahead depth belong to the
+  /// hosting LtcServer and are shared by every range on it:
+  /// block_cache / compressed_cache are the node's hot and compressed
+  /// block tiers (null = tier off); readahead_blocks is how many data
+  /// blocks a scan keeps in flight past its position (0 = off).
   RangeEngine(const RangeEngineOptions& options, stoc::StocClient* client,
               const std::vector<rdma::NodeId>& stocs,
               sim::CpuThrottle* throttle, ThreadPool* flush_pool,
-              ThreadPool* compaction_pool, Cache* block_cache = nullptr,
-              Cache* compressed_cache = nullptr);
+              ThreadPool* compaction_pool, Cache* block_cache,
+              Cache* compressed_cache, int readahead_blocks);
   ~RangeEngine();
 
   RangeEngine(const RangeEngine&) = delete;
@@ -288,7 +255,6 @@ class RangeEngine {
   DrangeManager* dranges() { return drange_.get(); }
   lsm::VersionSet* versions() { return versions_.get(); }
   lsm::TableCache* table_cache() { return table_cache_.get(); }
-  Cache* block_cache() { return block_cache_; }
   /// True if the current version references this SSTable number.
   bool IsFileNumberLive(uint64_t number);
   /// Atomically replace the placement metadata of a live SSTable (same
@@ -360,12 +326,8 @@ class RangeEngine {
   InternalKeyComparator icmp_;
   std::unique_ptr<DrangeManager> drange_;
   std::unique_ptr<lsm::VersionSet> versions_;
-  std::unique_ptr<Cache> owned_block_cache_;
-  Cache* block_cache_ = nullptr;
-  std::unique_ptr<Cache> owned_compressed_cache_;
-  Cache* compressed_cache_ = nullptr;
-  /// Resolved from options_.compression_codec (null = store raw).
-  const Compressor* compressor_ = nullptr;
+  /// The registered codec for options_.compression_codec (null = raw).
+  const Compressor* compressor_;
   std::unique_ptr<lsm::TableCache> table_cache_;
   std::unique_ptr<lsm::SSTablePlacer> placer_;
   std::unique_ptr<lsm::CompactionExecutor> executor_;

@@ -1,4 +1,4 @@
-// An in-process emulation of an RDMA fabric (DESIGN.md Section 2).
+// An in-process emulation of an RDMA fabric.
 //
 // Semantics preserved from real RDMA (paper Section 2.2):
 //  * Nodes register memory regions; one-sided READ/WRITE move bytes

@@ -47,9 +47,7 @@ SSTableReader::SSTableReader(SSTableMetadata meta, BlockFetcher* fetcher,
     : meta_(std::move(meta)),
       fetcher_(fetcher),
       block_cache_(block_cache),
-      // Legacy trailerless blocks are not self-describing, so they cannot
-      // live in the compressed tier.
-      compressed_cache_(meta_.block_format >= 1 ? compressed_cache : nullptr),
+      compressed_cache_(compressed_cache),
       range_id_(range_id),
       readahead_blocks_(readahead_blocks),
       readahead_(readahead) {}
@@ -146,14 +144,10 @@ Status SSTableReader::InstallBlock(std::string stored, uint64_t offset,
     return Status::Corruption("short block read");
   }
   std::string raw;
-  if (meta_.block_format >= 1) {
-    // crc is checked before the codec ever runs; see DecodeBlock.
-    Status s = DecodeBlock(stored, &raw);
-    if (!s.ok()) {
-      return s;
-    }
-  } else {
-    raw = std::move(stored);  // legacy: the stored bytes are the block
+  // crc is checked before the codec ever runs; see DecodeBlock.
+  Status s = DecodeBlock(stored, &raw);
+  if (!s.ok()) {
+    return s;
   }
   if (compressed_cache_ != nullptr && fill_cache) {
     // Both tiers are filled on a network read, so eviction from the small

@@ -50,8 +50,7 @@ class SSTableReader {
   /// block_cache that hit here decompress in LTC memory instead of
   /// costing a StoC round-trip; network fills land in both tiers, so a
   /// block evicted from the small hot tier "falls back" to its compressed
-  /// copy rather than being lost. Only consulted for block_format >= 1
-  /// files (the trailer makes the stored bytes self-describing).
+  /// copy rather than being lost.
   SSTableReader(SSTableMetadata meta, BlockFetcher* fetcher,
                 Cache* block_cache = nullptr, uint32_t range_id = 0,
                 int readahead_blocks = 0,

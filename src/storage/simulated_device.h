@@ -8,8 +8,8 @@
 // power-of-d peeking at disk queue lengths, seek amplification when a
 // SSTable is scattered too widely (Section 8.2.5) — emerges from exactly
 // this queue+seek+bandwidth mechanism. Defaults are scaled 1/64 together
-// with all data sizes (DESIGN.md Section 2): 2 MB/s ≙ 128 MB/s effective
-// HDD bandwidth at full scale.
+// with all data sizes (see bench/bench_common.h): 2 MB/s ≙ 128 MB/s
+// effective HDD bandwidth at full scale.
 #ifndef NOVA_STORAGE_SIMULATED_DEVICE_H_
 #define NOVA_STORAGE_SIMULATED_DEVICE_H_
 

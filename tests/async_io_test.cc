@@ -375,7 +375,7 @@ std::vector<std::pair<std::string, std::string>> LoadAndScan(
 
 TEST(ScanReadaheadClusterTest, HitsCountedAndResultsIdentical) {
   uint64_t issued_off = 0, hits_off = 0, issued_on = 0, hits_on = 0;
-  auto rows_off = LoadAndScan(/*readahead_blocks=*/-1, &issued_off,
+  auto rows_off = LoadAndScan(/*readahead_blocks=*/0, &issued_off,
                               &hits_off);
   auto rows_on = LoadAndScan(/*readahead_blocks=*/2, &issued_on, &hits_on);
   EXPECT_EQ(rows_off, rows_on);

@@ -410,6 +410,8 @@ TEST_F(BlockCacheClusterTest, WarmGetsAvoidStocReads) {
   ltc::RangeStats stats = cluster_->TotalStats();
   EXPECT_GT(stats.block_cache_hits, 0u);
   EXPECT_GT(stats.block_cache_bytes, 0u);
+  // The node cache is counted once, not once per range.
+  EXPECT_EQ(stats.block_cache_hits, cluster_->ltc(0)->block_cache()->hits());
 }
 
 TEST_F(BlockCacheClusterTest, ZeroBytesDisablesCaching) {
@@ -488,7 +490,7 @@ TEST_F(BlockCacheClusterTest, CompactedFilesAreInvalidated) {
   // Raw blocks: the L0 compaction trigger is byte-based and this test's
   // few fixed rounds must exceed it regardless of how well the payload
   // compresses.
-  opt.range.compression_codec = -1;
+  opt.range.compression_codec = kNoCompression;
   StartCluster(opt);
   auto* engine = cluster_->ltc(0)->ranges()[0];
   const int kKeys = 300;
@@ -538,6 +540,28 @@ TEST_F(BlockCacheClusterTest, CompactedFilesAreInvalidated) {
     }
   }
   EXPECT_EQ(dead_cached, 0) << "compacted-away files still cached";
+}
+
+TEST_F(BlockCacheClusterTest, RawCodecStoresBlocksUncompressed) {
+  ClusterOptions opt = FastOptions(/*block_cache_bytes=*/8 << 20);
+  opt.range.compression_codec = kNoCompression;
+  StartCluster(opt);
+  // Highly compressible values: any codec would shrink them, so equal
+  // stored and raw byte counts mean every block was written raw.
+  const int kKeys = 300;
+  for (int round = 0;
+       round < 20 && cluster_->TotalStats().compactions == 0; round++) {
+    for (int i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(cluster_->Put(Key(i), std::string(100, 'a' + round % 26))
+                      .ok());
+    }
+    FlushAll();
+  }
+  ltc::RangeStats stats = cluster_->TotalStats();
+  ASSERT_GT(stats.flushes, 0u);
+  ASSERT_GT(stats.compactions, 0u);
+  EXPECT_GT(stats.sstable_raw_bytes, 0u);
+  EXPECT_EQ(stats.sstable_stored_bytes, stats.sstable_raw_bytes);
 }
 
 /// Options for the two-tier / admission tests: a dataset several times

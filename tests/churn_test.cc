@@ -1,7 +1,7 @@
-// Stress/property tests for the concurrency invariants documented in
-// DESIGN.md §8: concurrent writers+readers under aggressive Drange
-// reorganization, memtable merging, and parallel compaction must never
-// produce stale reads, lost writes, or scan gaps.
+// Stress/property tests for the engine's concurrency invariants:
+// concurrent writers+readers under aggressive Drange reorganization,
+// memtable merging, and parallel compaction must never produce stale
+// reads, lost writes, or scan gaps.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -451,7 +451,7 @@ TEST_F(IntegrationTest, DegradedCompactionReconstructsFromParity) {
   opt.placement.rho = 3;
   opt.placement.use_parity = true;
   opt.placement.num_meta_replicas = 3;
-  opt.ltc.compaction_readahead_blocks = 4;  // exercise the pipeline
+  opt.range.compaction_readahead_blocks = 4;  // exercise the pipeline
   StartCluster(opt);
   std::map<std::string, std::string> oracle;
   for (int i = 0; i < 2500; i++) {
