@@ -30,19 +30,8 @@ void LookupIndex::Update(const Slice& key, uint64_t mid, uint64_t seq) {
   }
 }
 
-bool LookupIndex::Lookup(const Slice& key, uint64_t* mid) const {
-  Shard& s = shard(key);
-  std::lock_guard<std::mutex> l(s.mu);
-  auto it = s.map.find(key.ToString());
-  if (it == s.map.end()) {
-    return false;
-  }
-  *mid = it->second.mid;
-  return true;
-}
-
-bool LookupIndex::LookupWithSeq(const Slice& key, uint64_t* mid,
-                                uint64_t* seq) const {
+bool LookupIndex::Lookup(const Slice& key, uint64_t* mid,
+                         uint64_t* seq) const {
   Shard& s = shard(key);
   std::lock_guard<std::mutex> l(s.mu);
   auto it = s.map.find(key.ToString());
@@ -52,26 +41,6 @@ bool LookupIndex::LookupWithSeq(const Slice& key, uint64_t* mid,
   *mid = it->second.mid;
   *seq = it->second.seq;
   return true;
-}
-
-void LookupIndex::EraseIf(const Slice& key, uint64_t expected_mid) {
-  Shard& s = shard(key);
-  std::lock_guard<std::mutex> l(s.mu);
-  auto it = s.map.find(key.ToString());
-  if (it != s.map.end() && it->second.mid == expected_mid) {
-    s.map.erase(it);
-  }
-}
-
-void LookupIndex::UpdateIfIn(const Slice& key,
-                             const std::set<uint64_t>& old_mids,
-                             uint64_t new_mid) {
-  Shard& s = shard(key);
-  std::lock_guard<std::mutex> l(s.mu);
-  auto it = s.map.find(key.ToString());
-  if (it != s.map.end() && old_mids.count(it->second.mid)) {
-    it->second.mid = new_mid;
-  }
 }
 
 size_t LookupIndex::size() const {

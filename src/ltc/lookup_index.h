@@ -3,12 +3,27 @@
 // live memtable or the Level-0 SSTable its contents were flushed into.
 // A get that hits the index searches exactly one memtable or one L0
 // SSTable instead of all of them.
+//
+// Index invariant: a slot (mid, seq) claims that key@seq, or a newer
+// version, exists. Every write records its own seq through the seq-guarded
+// Update, so slot.seq only grows and is at least the seq of every
+// acknowledged write of the key. Slots are never erased: the claim is
+// what stops an older version left in another memtable or L0 file from
+// being returned. The slot's mid may stop resolving to the table that
+// holds the claimed version: a memtable merge retires the mid, compaction
+// moves the mid's L0 file into L1+, and recovery claims keys that live
+// only in L1+ under a sentinel mid that never resolves.
+//
+// A point get's one consistency rule follows from it. The get reads the
+// newest version present (no snapshot) and trusts the slot's table only
+// if the version found there has seq >= slot.seq. Otherwise it falls back
+// to a sweep that keeps the newest version across memtables and L0, and
+// it consults the levels while that newest version is older than slot.seq.
 #ifndef NOVA_LTC_LOOKUP_INDEX_H_
 #define NOVA_LTC_LOOKUP_INDEX_H_
 
 #include <cstdint>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -24,15 +39,8 @@ class LookupIndex {
   /// Point key at mid. seq is the sequence number of the write; stale
   /// racers (lower seq) never overwrite a newer mapping.
   void Update(const Slice& key, uint64_t mid, uint64_t seq);
-  bool Lookup(const Slice& key, uint64_t* mid) const;
-  /// Like Lookup but also exposes the recorded sequence (tests/debug).
-  bool LookupWithSeq(const Slice& key, uint64_t* mid, uint64_t* seq) const;
-  /// Erase key only if it still maps to expected_mid (lazy cleanup).
-  void EraseIf(const Slice& key, uint64_t expected_mid);
-  /// Rewrite key -> new_mid only if its current mid is in old_mids (used
-  /// when small memtables are merged into a new one, Section 4.2).
-  void UpdateIfIn(const Slice& key, const std::set<uint64_t>& old_mids,
-                  uint64_t new_mid);
+  /// The slot for key: its mid and the seq that table claims to hold.
+  bool Lookup(const Slice& key, uint64_t* mid, uint64_t* seq) const;
   size_t size() const;
   /// Approximate memory footprint (paper reports 240 MB at its scale).
   size_t ApproximateBytes() const;

@@ -22,6 +22,46 @@ uint64_t ElapsedUs(Clock::time_point start) {
           .count());
 }
 
+// The newest version of one key among the tables a get has probed. Its
+// value goes straight into the caller's string (reusing its capacity on
+// the common single-probe path); an older candidate lands in scratch.
+struct NewestVersion {
+  explicit NewestVersion(std::string* out) : value(out) {}
+
+  bool found = false;
+  SequenceNumber seq = 0;
+  Status status;
+  std::string* value;
+  std::string scratch;
+
+  // Probe one memtable or SSTable (both share the Get contract) and keep
+  // its entry if it is the newest so far.
+  template <typename Table>
+  void Probe(Table* table, const LookupKey& lkey) {
+    Status s;
+    SequenceNumber entry_seq;
+    if (table->Get(lkey, found ? &scratch : value, &s, &entry_seq) &&
+        (!found || entry_seq > seq)) {
+      if (found) {
+        value->swap(scratch);
+      }
+      found = true;
+      seq = entry_seq;
+      status = s;
+    }
+  }
+
+  // The get's one consistency rule (lookup_index.h): stop probing once the
+  // newest version found is at least as new as the index claims.
+  bool Reaches(SequenceNumber claimed_seq) const {
+    return found && seq >= claimed_seq;
+  }
+
+  Status Finish() const {
+    return found ? status : Status::NotFound("key not found");
+  }
+};
+
 }  // namespace
 
 RangeEngine::RangeEngine(const RangeEngineOptions& options,
@@ -309,181 +349,59 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
     std::lock_guard<std::mutex> l(stats_mu_);
     stats_.gets++;
   }
-  SequenceNumber snapshot = last_sequence_.load();
-  LookupKey lkey(key, snapshot);
-  Status result;
-
+  // A point get reads the newest version present and follows the one
+  // consistency rule stated in lookup_index.h.
+  LookupKey lkey(key, kMaxSequenceNumber);
+  NewestVersion newest(value);
+  SequenceNumber claimed_seq = 0;
+  bool sweep_memtables = !options_.enable_lookup_index;
   if (options_.enable_lookup_index) {
-    // A hit may go momentarily stale while a memtable merge retires its
-    // mid (the index is rewritten before the old mid is erased), so a
-    // stale hit retries; if it stays inconsistent, fall through to the
-    // exhaustive memtable sweep below which is always correct.
-    bool inconsistent_hit = false;
-    uint64_t claimed_seq = 0;
-    for (int retry = 0; retry < 3; retry++) {
-      uint64_t mid;
-      if (!lookup_index_.LookupWithSeq(key, &mid, &claimed_seq)) {
-        inconsistent_hit = false;
-        break;
-      }
+    uint64_t mid;
+    if (lookup_index_.Lookup(key, &mid, &claimed_seq)) {
       MidTable::Entry entry;
-      if (!mid_table_.Get(mid, &entry)) {
-        inconsistent_hit = true;
-        continue;  // merge in flight: the index will be re-pointed
-      }
-      if (!entry.is_file) {
+      bool resolved = mid_table_.Get(mid, &entry);
+      if (resolved && !entry.is_file) {
         throttle_->Charge(costs.memtable_probe_us);
-        if (entry.memtable->Get(lkey, value, &result)) {
-          std::lock_guard<std::mutex> l(stats_mu_);
-          stats_.lookup_index_hits++;
-          return result;
-        }
-        inconsistent_hit = true;  // slot should have held this key
-        continue;
-      }
-      lsm::FileMetaRef meta = FindL0File(entry.file_number);
-      if (meta != nullptr) {
+        newest.Probe(entry.memtable.get(), lkey);
+      } else if (resolved) {
+        // A null meta means the L0 file was just compacted into L1+; the
+        // slot keeps its claim so the levels are consulted below.
+        lsm::FileMetaRef meta = FindL0File(entry.file_number);
         lsm::TableCache::Handle handle;
-        Status s = table_cache_->GetReader(meta, &handle);
-        if (s.ok()) {
+        if (meta != nullptr && table_cache_->GetReader(meta, &handle).ok()) {
           throttle_->Charge(costs.l0_sstable_probe_us);
-          if (handle.reader->Get(lkey, value, &result)) {
-            std::lock_guard<std::mutex> l(stats_mu_);
-            stats_.lookup_index_hits++;
-            return result;
-          }
+          newest.Probe(handle.reader, lkey);
         }
-        inconsistent_hit = false;
-        break;
       }
-      // The L0 file was compacted into L1+: self-clean the index.
-      lookup_index_.EraseIf(key, mid);
-      mid_table_.Erase(mid);
-      inconsistent_hit = false;
-      break;
+      if (newest.Reaches(claimed_seq)) {
+        std::lock_guard<std::mutex> l(stats_mu_);
+        stats_.lookup_index_hits++;
+        return newest.Finish();
+      }
+      // The slot named a memtable, or a mid that no longer resolves (see
+      // lookup_index.h): the claimed version may sit in another memtable.
+      sweep_memtables = !resolved || !entry.is_file;
     }
-    SequenceNumber best_seq = 0;
-    bool found = false;
-    std::string best_value;
-    Status best_status;
-    if (inconsistent_hit) {
-      // Exhaustive-but-safe path: probe every memtable; the L0 probe
-      // below then takes the best across memtables and L0 (an old
-      // memtable can coexist with a newer already-flushed L0 version).
-      std::vector<MemTableRef> mems;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        mems.reserve(all_memtables_.size());
-        for (auto& [m, mem] : all_memtables_) {
-          mems.push_back(mem);
-        }
-      }
-      for (auto& mem : mems) {
-        throttle_->Charge(costs.memtable_probe_us);
-        std::string v;
-        Status s;
-        SequenceNumber seq;
-        if (mem->Get(lkey, &v, &s, &seq) && (!found || seq > best_seq)) {
-          found = true;
-          best_seq = seq;
-          best_value = std::move(v);
-          best_status = s;
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> l(stats_mu_);
-      stats_.lookup_index_misses++;
-    }
-    // Index miss: during normal operation any key in a memtable or L0
-    // SSTable is indexed, but after recovery/migration L0-resident keys
-    // may not be (the index is rebuilt from log records only). Probe
-    // overlapping L0 files bloom-first — cheap, and preserves safety.
-    {
-      lsm::VersionRef version = versions_->current();
-      for (const auto& f : version->files(0)) {
-        if (key.compare(f->smallest.user_key()) < 0 ||
-            key.compare(f->largest.user_key()) > 0) {
-          continue;
-        }
-        lsm::TableCache::Handle handle;
-        if (!table_cache_->GetReader(f, &handle).ok()) {
-          continue;
-        }
-        if (!handle.reader->KeyMayMatch(key)) {
-          continue;
-        }
-        throttle_->Charge(costs.l0_sstable_probe_us);
-        std::string v;
-        Status s;
-        SequenceNumber seq;
-        if (handle.reader->Get(lkey, &v, &s, &seq)) {
-          if (!found || seq > best_seq) {
-            found = true;
-            best_seq = seq;
-            best_value = std::move(v);
-            best_status = s;
-          }
-        }
-      }
-      if (found && (!inconsistent_hit || best_seq >= claimed_seq)) {
-        if (best_status.ok()) {
-          *value = std::move(best_value);
-        }
-        return best_status;
-      }
-    }
-    // Either nothing found yet, or the index claimed a newer version than
-    // anything in the memtables/L0 — it was compacted into the levels.
-    // Consult the levels and return the newest of both.
-    {
-      std::string lv;
-      SequenceNumber lseq = 0;
-      Status ls = SearchLevels(lkey, &lv, &lseq);
-      if (!ls.IsNotFound() && (!found || lseq > best_seq)) {
-        if (ls.ok()) {
-          *value = std::move(lv);
-        }
-        return ls;
-      }
-    }
-    if (found) {
-      if (best_status.ok()) {
-        *value = std::move(best_value);
-      }
-      return best_status;
-    }
-    return Status::NotFound("key not found");
+    std::lock_guard<std::mutex> l(stats_mu_);
+    stats_.lookup_index_misses++;
   }
-
-  // Ablation path (Challenge 2): no lookup index — probe every memtable
-  // and every L0 SSTable, keeping the entry with the highest sequence.
-  std::vector<MemTableRef> mems;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    mems.reserve(all_memtables_.size());
-    for (auto& [mid, mem] : all_memtables_) {
-      mems.push_back(mem);
+  if (sweep_memtables) {
+    std::vector<MemTableRef> mems;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      mems.reserve(all_memtables_.size());
+      for (auto& [mid, mem] : all_memtables_) {
+        mems.push_back(mem);
+      }
+    }
+    for (auto& mem : mems) {
+      throttle_->Charge(costs.memtable_probe_us);
+      newest.Probe(mem.get(), lkey);
     }
   }
-  SequenceNumber best_seq = 0;
-  bool found = false;
-  std::string best_value;
-  Status best_status;
-  for (auto& mem : mems) {
-    throttle_->Charge(costs.memtable_probe_us);
-    std::string v;
-    Status s;
-    SequenceNumber seq;
-    if (mem->Get(lkey, &v, &s, &seq)) {
-      if (!found || seq > best_seq) {
-        found = true;
-        best_seq = seq;
-        best_value = std::move(v);
-        best_status = s;
-      }
-    }
-  }
+  // After recovery or migration L0-resident keys may be unindexed (the
+  // index is rebuilt from log records), so every overlapping L0 file is
+  // probed, bloom first.
   lsm::VersionRef version = versions_->current();
   for (const auto& f : version->files(0)) {
     if (key.compare(f->smallest.user_key()) < 0 ||
@@ -491,49 +409,26 @@ Status RangeEngine::Get(const Slice& key, std::string* value) {
       continue;
     }
     lsm::TableCache::Handle handle;
-    if (!table_cache_->GetReader(f, &handle).ok()) {
+    if (!table_cache_->GetReader(f, &handle).ok() ||
+        !handle.reader->KeyMayMatch(key)) {
       continue;
     }
-    if (!handle.reader->KeyMayMatch(key)) {
-      continue;  // bloom rejected: skip the index seek and probe charge
-    }
     throttle_->Charge(costs.l0_sstable_probe_us);
-    std::string v;
-    Status s;
-    SequenceNumber seq;
-    if (handle.reader->Get(lkey, &v, &s, &seq)) {
-      if (!found || seq > best_seq) {
-        found = true;
-        best_seq = seq;
-        best_value = std::move(v);
-        best_status = s;
-      }
-    }
+    newest.Probe(handle.reader, lkey);
   }
-  if (found) {
-    if (best_status.ok()) {
-      *value = std::move(best_value);
-    }
-    return best_status;
+  if (newest.Reaches(claimed_seq)) {
+    return newest.Finish();
   }
-  return SearchLevels(lkey, value);
-}
-
-Status RangeEngine::SearchLevels(const LookupKey& lkey, std::string* value,
-                                 SequenceNumber* seq_out) {
-  const sim::CostModel& costs = sim::DefaultCostModel();
-  lsm::VersionRef version = versions_->current();
-  for (int level = 1; level < version->num_levels(); level++) {
-    // Levels are normally sorted and disjoint, but while compactions are
-    // in flight a level can transiently hold overlapping files, so probe
-    // every overlapping file and keep the newest version.
-    auto files = version->OverlappingFiles(level, lkey.user_key(),
-                                           lkey.user_key());
-    SequenceNumber best_seq = 0;
-    bool found = false;
-    std::string best_value;
-    Status best_status;
-    for (const auto& f : files) {
+  // Nothing yet, or the index claims a newer version than memtables and
+  // L0 hold: it was compacted into the levels. Levels are normally
+  // disjoint, but while compactions are in flight one can transiently hold
+  // overlapping files, so every overlapping file of a level is probed. A
+  // fresh version also covers an L0 file compacted since the L0 probe.
+  version = versions_->current();
+  for (int level = 1;
+       level < version->num_levels() && !newest.Reaches(claimed_seq);
+       level++) {
+    for (const auto& f : version->OverlappingFiles(level, key, key)) {
       lsm::TableCache::Handle handle;
       Status s = table_cache_->GetReader(f, &handle);
       if (!s.ok()) {
@@ -542,32 +437,14 @@ Status RangeEngine::SearchLevels(const LookupKey& lkey, std::string* value,
         }
         continue;
       }
-      if (!handle.reader->KeyMayMatch(lkey.user_key())) {
+      if (!handle.reader->KeyMayMatch(key)) {
         continue;  // bloom filter skip (Section 4.1.1)
       }
       throttle_->Charge(costs.high_level_probe_us);
-      std::string v;
-      Status result;
-      SequenceNumber seq;
-      if (handle.reader->Get(lkey, &v, &result, &seq) &&
-          (!found || seq > best_seq)) {
-        found = true;
-        best_seq = seq;
-        best_value = std::move(v);
-        best_status = result;
-      }
-    }
-    if (found) {
-      if (seq_out != nullptr) {
-        *seq_out = best_seq;
-      }
-      if (best_status.ok()) {
-        *value = std::move(best_value);
-      }
-      return best_status;
+      newest.Probe(handle.reader, lkey);
     }
   }
-  return Status::NotFound("key not found");
+  return newest.Finish();
 }
 
 lsm::FileMetaRef RangeEngine::FindL0File(uint64_t number) {
@@ -688,7 +565,6 @@ Status RangeEngine::Scan(
         NewMergingIterator(&icmp_, std::move(children)));
     LookupKey lkey(pos, snapshot);
     merged->Seek(lkey.internal_key());
-    bool reached_upper = false;
     while (merged->Valid() && static_cast<int>(out->size()) < num_records) {
       throttle_->Charge(costs.scan_per_record_us);
       ParsedInternalKey parsed;
@@ -696,7 +572,6 @@ Status RangeEngine::Scan(
         return Status::Corruption("bad key during scan");
       }
       if (!upper.empty() && parsed.user_key.compare(upper) >= 0) {
-        reached_upper = true;
         break;
       }
       if (parsed.sequence > snapshot) {
@@ -714,7 +589,6 @@ Status RangeEngine::Scan(
       }
       merged->Next();
     }
-    (void)reached_upper;
     if (upper.empty()) {
       break;  // end of the keyspace
     }
@@ -872,11 +746,6 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
   auto new_mem = std::make_shared<MemTable>(icmp_, new_mid);
   new_mem->set_drange_id(drange_id);
 
-  std::set<uint64_t> old_mids;
-  for (const auto& m : mems) {
-    old_mids.insert(m->id());
-  }
-
   // New log file first so the merged table is as durable as its sources.
   if (options_.log.mode != logc::LogMode::kNone) {
     Status ls = logc_->CreateLogFile(new_mid, stocs_);
@@ -930,7 +799,6 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
   // invariant — the slot's table contains key@slot.seq — stays intact
   // under concurrent merges.
   mid_table_.SetMemtable(new_mid, new_mem);
-  (void)old_mids;
   {
     std::unique_ptr<Iterator> it(new_mem->NewIterator());
     it->SeekToFirst();
@@ -1416,7 +1284,7 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
     // newest seq, and Get uses that claimed seq to route down to the
     // levels. Recreate the same shape here by claiming every L1+ key
     // under one sentinel mid that is never registered in MIDToTable —
-    // a hit on it fails to resolve and falls through to SearchLevels.
+    // a hit on it fails to resolve and falls back to the levels.
     // This pass runs before the L0 pass so an L0 copy at the same seq
     // wins the slot (>= guard) and keeps the resolvable fast path.
     uint64_t levels_mid = next_mid_.fetch_add(1);
@@ -1684,7 +1552,7 @@ Status RangeEngine::SwapFileMeta(const lsm::FileMetaData& updated) {
 std::string RangeEngine::DebugLookupState(const Slice& key) {
   char buf[256];
   uint64_t mid = 0, iseq = 0;
-  if (!lookup_index_.LookupWithSeq(key, &mid, &iseq)) {
+  if (!lookup_index_.Lookup(key, &mid, &iseq)) {
     return "no-index-entry";
   }
   MidTable::Entry entry;

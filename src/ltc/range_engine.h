@@ -311,8 +311,6 @@ class RangeEngine {
   lsm::FileMetaRef FindL0File(uint64_t number);
   static lsm::FileMetaRef FindL0FileIn(const lsm::VersionRef& version,
                                        uint64_t number);
-  Status SearchLevels(const LookupKey& lkey, std::string* value,
-                      SequenceNumber* seq_out = nullptr);
   Status RebuildFromLogs(int recovery_threads);
   void HandleReorg(const std::vector<int>& changed);
 

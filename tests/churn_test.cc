@@ -10,7 +10,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_core/workload.h"
 #include "coord/cluster.h"
@@ -76,14 +78,18 @@ TEST(ChurnConcurrentTest, WritersAndReadersRace) {
   coord::Cluster cluster(ChurnOptions(3));
   cluster.Start();
   const int kKeys = 300;
-  // Per-key monotonically increasing values; readers must never observe a
-  // value older than one they have already seen for that key.
+  // Each writer's versions of a key increase. A writer reading back the key
+  // it just wrote must never see its own version older than the one it
+  // last acknowledged (read-your-writes); readers must see some committed
+  // write for every key that has one.
   std::vector<std::atomic<int>> committed(kKeys);
   for (auto& c : committed) {
     c.store(-1);
   }
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
+  std::mutex first_violation_mu;
+  std::string first_violation;
 
   // Watchdog: this race once hung to the ctest timeout via a lost stall
   // wakeup (every writer parked on the L0 stall gate after the last
@@ -115,12 +121,30 @@ TEST(ChurnConcurrentTest, WritersAndReadersRace) {
   for (int w = 0; w < 3; w++) {
     writers.emplace_back([&, w] {
       Random rng(w * 31 + 1);
+      std::vector<int> my_acked(kKeys, -1);
       for (int i = 0; i < 3000 && !stop.load(); i++) {
         int k = static_cast<int>(rng.Uniform(kKeys));
         int version = w * 100000 + i;
         if (cluster.Put(bench::MakeKey(k), std::to_string(version)).ok()) {
           // Remember some committed version (not necessarily the newest).
           committed[k].store(version, std::memory_order_relaxed);
+          my_acked[k] = version;
+        }
+        if (my_acked[k] >= 0) {
+          std::string got;
+          Status s = cluster.Get(bench::MakeKey(k), &got);
+          // Another writer's version may be newer; my own must not be older.
+          int read = s.ok() && !got.empty() ? std::stoi(got) : -1;
+          if (read < 0 || (read / 100000 == w && read < my_acked[k])) {
+            violations.fetch_add(1);
+            std::lock_guard<std::mutex> l(first_violation_mu);
+            if (first_violation.empty()) {
+              first_violation = "writer " + std::to_string(w) + " key " +
+                                std::to_string(k) + " acked " +
+                                std::to_string(my_acked[k]) + " read " +
+                                (s.ok() ? "'" + got + "'" : s.ToString());
+            }
+          }
         }
         writer_progress[w].store(i + 1, std::memory_order_relaxed);
       }
@@ -152,7 +176,7 @@ TEST(ChurnConcurrentTest, WritersAndReadersRace) {
   for (auto& t : readers) {
     t.join();
   }
-  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(violations.load(), 0) << first_violation;
 
   // Final state: the last writer-recorded version per key must be
   // readable or superseded by a newer committed one (same writer ids).

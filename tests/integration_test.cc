@@ -85,6 +85,34 @@ TEST_F(IntegrationTest, OverwriteAndDelete) {
   EXPECT_TRUE(cluster_->Get("k", &value).IsNotFound());
 }
 
+// A get trusts the table a lookup-index slot names only if the version it
+// finds there is at least as new as the slot claims. Point the slot back at
+// a memtable that holds an older version, with a claim above every put: the
+// get must still return the newest acknowledged value, not that table's.
+TEST_F(IntegrationTest, GetIgnoresIndexHitOlderThanClaimedSeq) {
+  ClusterOptions opt = FastOptions(1, 2);
+  opt.range.enable_dranges = false;
+  opt.range.num_active_memtables = 2;
+  StartCluster(opt);
+  auto* engine = cluster_->ltc(0)->ranges()[0];
+  const std::string key = Key(7);
+  uint64_t first_mid = 0, mid = 0, seq = 0;
+  std::string newest;
+  for (int i = 0; i < 200 && (i == 0 || mid == first_mid); i++) {
+    newest = "v" + std::to_string(i);
+    ASSERT_TRUE(cluster_->Put(key, newest).ok());
+    ASSERT_TRUE(engine->lookup_index()->Lookup(key, &mid, &seq));
+    if (i == 0) {
+      first_mid = mid;
+    }
+  }
+  ASSERT_NE(mid, first_mid) << "every put landed in one memtable";
+  engine->lookup_index()->Update(key, first_mid, seq + 1000);
+  std::string got;
+  ASSERT_TRUE(cluster_->Get(key, &got).ok());
+  EXPECT_EQ(got, newest);
+}
+
 TEST_F(IntegrationTest, OracleConsistencyThroughFlushesAndCompactions) {
   StartCluster(FastOptions(1, 3));
   std::map<std::string, std::string> oracle;

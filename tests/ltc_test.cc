@@ -164,40 +164,30 @@ TEST(DrangeTest, StaticModeFreezesAfterFirstMajor) {
   EXPECT_TRUE(mgr.MaybeReorg().empty());
 }
 
-TEST(LookupIndexTest, UpdateLookupErase) {
+TEST(LookupIndexTest, UpdateAndLookup) {
   LookupIndex idx;
   idx.Update("a", 1, 10);
   idx.Update("b", 2, 11);
-  uint64_t mid;
-  ASSERT_TRUE(idx.Lookup("a", &mid));
+  uint64_t mid, seq;
+  ASSERT_TRUE(idx.Lookup("a", &mid, &seq));
   EXPECT_EQ(mid, 1u);
-  EXPECT_FALSE(idx.Lookup("c", &mid));
-  idx.EraseIf("a", 99);  // wrong mid: no-op
-  EXPECT_TRUE(idx.Lookup("a", &mid));
-  idx.EraseIf("a", 1);
-  EXPECT_FALSE(idx.Lookup("a", &mid));
-  EXPECT_EQ(idx.size(), 1u);
+  EXPECT_EQ(seq, 10u);
+  EXPECT_FALSE(idx.Lookup("c", &mid, &seq));
+  idx.Update("a", 3, 12);  // a newer write re-points the slot
+  ASSERT_TRUE(idx.Lookup("a", &mid, &seq));
+  EXPECT_EQ(mid, 3u);
+  EXPECT_EQ(seq, 12u);
+  EXPECT_EQ(idx.size(), 2u);
 }
 
 TEST(LookupIndexTest, StaleSequenceNeverOverwrites) {
   LookupIndex idx;
   idx.Update("k", 5, 100);
   idx.Update("k", 3, 50);  // older write racing in late
-  uint64_t mid;
-  ASSERT_TRUE(idx.Lookup("k", &mid));
+  uint64_t mid, seq;
+  ASSERT_TRUE(idx.Lookup("k", &mid, &seq));
   EXPECT_EQ(mid, 5u);
-}
-
-TEST(LookupIndexTest, UpdateIfIn) {
-  LookupIndex idx;
-  idx.Update("k", 5, 100);
-  idx.UpdateIfIn("k", {1, 2}, 9);  // 5 not in set: no-op
-  uint64_t mid;
-  idx.Lookup("k", &mid);
-  EXPECT_EQ(mid, 5u);
-  idx.UpdateIfIn("k", {5}, 9);
-  idx.Lookup("k", &mid);
-  EXPECT_EQ(mid, 9u);
+  EXPECT_EQ(seq, 100u);
 }
 
 TEST(MidTableTest, MemtableToFileHandoff) {
