@@ -15,11 +15,11 @@
 # — the gate for the failure-detection/repair work (ISSUE 9). `all` runs
 # it after the two full tier-1 passes.
 #
-# `compression` runs only the block-compression / cache-tier suites
-# (Compressor, stored-block corruption, two-queue admission, compressed
-# tier, compressed-fragment repair) under ASan — decompression scratch
-# buffers and the trailer parsing paths are where out-of-bounds reads
-# would hide. `all` includes these tests via the full ASan tier-1 pass.
+# `compression` runs only the block-integrity / compression / cache-tier
+# suites (CRC32C, Compressor, stored-block corruption, two-queue
+# admission, compressed tier, compressed-fragment repair) under ASan —
+# the word-at-a-time crc and copy loops, decompression scratch buffers
+# and the trailer parsing paths are where out-of-bounds reads would hide. `all` includes these tests via the full ASan tier-1 pass.
 #
 # Sanitized runs are several times slower than the plain suite; -j is
 # capped below the machine width so the timing-sensitive churn tests do
@@ -74,7 +74,7 @@ run_compression() {
   echo "==> [compression] ctest compression/cache suites (ASan)"
   ASAN_OPTIONS="detect_leaks=0" \
     ctest --test-dir "${build_dir}" \
-          -R "CompressorTest|FormatTest|SSTableReaderTest|TwoQueueLRUCacheTest|BlockCacheClusterTest|RepairTest.RebuiltFragmentsAreByteIdenticalCompressedImages" \
+          -R "Crc32cTest|CompressorTest|FormatTest|SSTableReaderTest|TwoQueueLRUCacheTest|BlockCacheClusterTest|RepairTest.RebuiltFragmentsAreByteIdenticalCompressedImages" \
           -j "${jobs}" --output-on-failure "$@"
 }
 

@@ -189,6 +189,7 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
     std::atomic<int>* n;
     ~WriteGuard() { n->fetch_sub(1, std::memory_order_release); }
   } write_guard{&foreground_writes_};
+  Status log_status;
   for (int attempt = 0; attempt < 1000; attempt++) {
     if (stopping_.load(std::memory_order_relaxed)) {
       return Status::Unavailable("range decommissioned");
@@ -289,11 +290,19 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
       rec.type = type;
       rec.key = key.ToString();
       rec.value = value.ToString();
-      Status ls = logc_->Append(mem->id(), rec);
-      if (!ls.ok()) {
-        // Benign when the memtable rotated under us: AddIfActive below
-        // fails too and the retry re-logs to the new active.
-        NOVA_DEBUG("log append raced rotation: %s", ls.ToString().c_str());
+      log_status = logc_->Append(mem->id(), rec);
+      if (!log_status.ok()) {
+        // Never ack a put without its log record. The log may have lost a
+        // replica for good, so seal the memtable (it still flushes what
+        // it holds) and retry into a fresh one with a freshly placed log.
+        std::lock_guard<std::mutex> lk(mu_);
+        auto it = actives_.find(mem->drange_id());
+        if (it != actives_.end() && it->second.active == mem) {
+          mem->MarkImmutable();
+          flush_queue_.push_back(mem);
+          it->second.active = nullptr;
+        }
+        continue;
       }
     }
     if (mem->AddIfActive(seq, type, key, value)) {
@@ -303,6 +312,9 @@ Status RangeEngine::RouteAndAppend(SequenceNumber seq, ValueType type,
       return Status::OK();
     }
     // The memtable became immutable under us; retry with the new active.
+  }
+  if (!log_status.ok()) {
+    return log_status;
   }
   return Status::Busy("put retry limit exceeded");
 }
@@ -609,11 +621,9 @@ Status RangeEngine::Scan(
 
 void RangeEngine::MaintenanceTick() {
   // 1. Drange reorganization (Section 4.1).
-  if (options_.enable_dranges && drange_->NeedsReorg()) {
-    std::vector<int> changed = drange_->MaybeReorg();
-    if (!changed.empty()) {
-      HandleReorg(changed);
-    }
+  if (options_.enable_dranges && drange_->NeedsReorg() &&
+      !drange_->MaybeReorg().empty()) {
+    HandleReorg();
   }
   // 2. Dispatch queued flushes. First break the parked-small-immutable
   // cycle: Drange merge outputs wait in small_immutables_ for the *next*
@@ -648,7 +658,7 @@ void RangeEngine::MaintenanceTick() {
   ScheduleCompactions();
 }
 
-void RangeEngine::HandleReorg(const std::vector<int>& changed) {
+void RangeEngine::HandleReorg() {
   // Rotate every active memtable: reorganized Dranges get fresh memtables
   // with a bumped generation id (Section 4.1's second technique).
   std::lock_guard<std::mutex> lk(mu_);
@@ -756,6 +766,7 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
 
   std::string last_key;
   bool has_last = false;
+  bool logged = true;
   uint64_t unique = 0;
   merged->SeekToFirst();
   while (merged->Valid()) {
@@ -776,16 +787,18 @@ Status RangeEngine::MergeSmallMemtables(const std::vector<MemTableRef>& mems,
         rec.type = parsed.type;
         rec.key = last_key;
         rec.value = merged->value().ToString();
-        logc_->Append(new_mid, rec);
+        logged = logged && logc_->Append(new_mid, rec).ok();
       }
     }
     merged->Next();
   }
   new_mem->MarkImmutable();
 
-  if (unique >= static_cast<uint64_t>(options_.unique_key_threshold) ||
+  if (!logged ||
+      unique >= static_cast<uint64_t>(options_.unique_key_threshold) ||
       new_mem->ApproximateMemoryUsage() >= options_.memtable_size) {
-    // Merged result grew past the threshold: flush it for real. Old
+    // Merged result grew past the threshold, or its log is incomplete and
+    // could not stand in for the inputs' logs: flush it for real. Old
     // memtables are released below either way.
     Status fs = FlushToSSTable(mems, drange_id, mems[0]->generation());
     logc_->DeleteLogFile(new_mid);

@@ -312,7 +312,7 @@ class RangeEngine {
   static lsm::FileMetaRef FindL0FileIn(const lsm::VersionRef& version,
                                        uint64_t number);
   Status RebuildFromLogs(int recovery_threads);
-  void HandleReorg(const std::vector<int>& changed);
+  void HandleReorg();
 
   RangeEngineOptions options_;
   stoc::StocClient* client_;

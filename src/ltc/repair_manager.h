@@ -77,6 +77,9 @@ class RepairManager {
   };
 
   void Loop();
+  /// Store the degraded gauge, first closing the repair window when it
+  /// drops to zero.
+  void PublishDegraded(uint64_t degraded);
   /// Repair every lost piece of one file; returns what it found/fixed.
   FileRepairOutcome RepairFile(RangeEngine* engine,
                                const lsm::FileMetaRef& file,

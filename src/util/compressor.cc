@@ -1,5 +1,6 @@
 #include "util/compressor.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace nova {
@@ -26,6 +27,38 @@ inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   memcpy(&v, p, sizeof(v));
   return v;
+}
+
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Index of the first differing byte of two 8-byte words loaded with
+/// Load64, given their XOR (nonzero).
+inline size_t FirstDiffByte(uint64_t diff) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  return static_cast<size_t>(__builtin_clzll(diff)) >> 3;
+#else
+  return static_cast<size_t>(__builtin_ctzll(diff)) >> 3;
+#endif
+}
+
+/// Length of the common prefix of [a, end) and b, where b < a (so b's
+/// bytes are in bounds wherever a's are). Eight bytes per step.
+inline size_t CommonPrefix(const uint8_t* a, const uint8_t* b,
+                           const uint8_t* end) {
+  const uint8_t* start = a;
+  for (; end - a >= 8; a += 8, b += 8) {
+    uint64_t diff = Load64(a) ^ Load64(b);
+    if (diff != 0) {
+      return static_cast<size_t>(a - start) + FirstDiffByte(diff);
+    }
+  }
+  for (; a < end && *a == *b; a++, b++) {
+  }
+  return static_cast<size_t>(a - start);
 }
 
 inline uint32_t HashWord(uint32_t v) {
@@ -105,10 +138,8 @@ class NovaLzCompressor final : public Compressor {
       table[h] = static_cast<uint32_t>(ip - base);
       if (cand < ip && static_cast<size_t>(ip - cand) <= kMaxOffset &&
           Load32(cand) == word) {
-        size_t match_len = kMinMatch;
-        while (ip + match_len < end && cand[match_len] == ip[match_len]) {
-          match_len++;
-        }
+        size_t match_len =
+            kMinMatch + CommonPrefix(ip + kMinMatch, cand + kMinMatch, end);
         EmitSequence(anchor, static_cast<size_t>(ip - anchor),
                      static_cast<size_t>(ip - cand), match_len, out);
         ip += match_len;
@@ -130,8 +161,14 @@ class NovaLzCompressor final : public Compressor {
 
   Status Uncompress(const Slice& input, size_t uncompressed_len,
                     std::string* out) const override {
-    out->clear();
-    out->reserve(uncompressed_len);
+    out->resize(uncompressed_len);
+    char* const base = &(*out)[0];
+    char* const oend = base + uncompressed_len;
+    char* op = base;
+    auto corruption = [&](const char* msg) {
+      out->resize(static_cast<size_t>(op - base));  // keep what was produced
+      return Status::Corruption(msg);
+    };
     const auto* p = reinterpret_cast<const uint8_t*>(input.data());
     const uint8_t* end = p + input.size();
     while (p < end) {
@@ -139,45 +176,51 @@ class NovaLzCompressor final : public Compressor {
       size_t lit_len = token >> 4;
       if (lit_len == 15 &&
           !ReadExtLength(&p, end, uncompressed_len, &lit_len)) {
-        return Status::Corruption("novalz: bad literal length");
+        return corruption("novalz: bad literal length");
       }
       if (lit_len > static_cast<size_t>(end - p)) {
-        return Status::Corruption("novalz: literal run past input");
+        return corruption("novalz: literal run past input");
       }
-      if (out->size() + lit_len > uncompressed_len) {
-        return Status::Corruption("novalz: output overrun");
+      if (lit_len > static_cast<size_t>(oend - op)) {
+        return corruption("novalz: output overrun");
       }
-      out->append(reinterpret_cast<const char*>(p), lit_len);
+      memcpy(op, p, lit_len);
+      op += lit_len;
       p += lit_len;
       if (p == end) {
         break;  // final, literals-only sequence
       }
       if (end - p < 2) {
-        return Status::Corruption("novalz: truncated match offset");
+        return corruption("novalz: truncated match offset");
       }
       size_t offset = static_cast<size_t>(p[0]) | (static_cast<size_t>(p[1]) << 8);
       p += 2;
-      if (offset == 0 || offset > out->size()) {
-        return Status::Corruption("novalz: match offset before output start");
+      if (offset == 0 || offset > static_cast<size_t>(op - base)) {
+        return corruption("novalz: match offset before output start");
       }
       size_t match_len = token & 0x0f;
       if (match_len == 15 &&
           !ReadExtLength(&p, end, uncompressed_len, &match_len)) {
-        return Status::Corruption("novalz: bad match length");
+        return corruption("novalz: bad match length");
       }
       match_len += kMinMatch;
-      if (out->size() + match_len > uncompressed_len) {
-        return Status::Corruption("novalz: output overrun");
+      if (match_len > static_cast<size_t>(oend - op)) {
+        return corruption("novalz: output overrun");
       }
-      // Byte-wise so overlapping matches (offset < length) replicate runs.
-      size_t from = out->size() - offset;
-      for (size_t i = 0; i < match_len; i++) {
-        char c = (*out)[from + i];
-        out->push_back(c);
+      // [from, op) repeats with period `offset`, so copying it to op never
+      // overlaps and doubles the span each step: one memcpy when the match
+      // does not overlap its source, log2(len/offset) + 1 when it does.
+      const char* from = op - offset;
+      char* match_end = op + match_len;
+      while (op < match_end) {
+        size_t n = std::min(static_cast<size_t>(op - from),
+                            static_cast<size_t>(match_end - op));
+        memcpy(op, from, n);
+        op += n;
       }
     }
-    if (out->size() != uncompressed_len) {
-      return Status::Corruption("novalz: short decompressed block");
+    if (op != oend) {
+      return corruption("novalz: short decompressed block");
     }
     return Status::OK();
   }

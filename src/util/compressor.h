@@ -42,7 +42,8 @@ class Compressor {
   /// Decompress input into *out, which must come out to exactly
   /// uncompressed_len bytes. Every read is bounds-checked against the
   /// input and every write against uncompressed_len, so a corrupted or
-  /// truncated payload yields Status::Corruption, never an OOB access.
+  /// truncated payload yields Status::Corruption, never an OOB access;
+  /// *out then holds the bytes decoded before the error.
   virtual Status Uncompress(const Slice& input, size_t uncompressed_len,
                             std::string* out) const = 0;
 };

@@ -1,5 +1,5 @@
-// CRC32C (Castagnoli) checksums, software table implementation. Used to
-// protect SSTable blocks, log records, and MANIFEST entries.
+// CRC32C (Castagnoli) checksums, software slicing-by-8 implementation.
+// Used to protect SSTable blocks, log records, and MANIFEST entries.
 #ifndef NOVA_UTIL_CRC32C_H_
 #define NOVA_UTIL_CRC32C_H_
 

@@ -224,8 +224,8 @@ TEST_P(ChaosTest, NoAckedWriteLostUnderFaultsAndStocChurn) {
   cluster.Start();
 
   util::FailPoint::Seed(seed);
-  // logc.append fires before any replica write, so an injected failure
-  // there surfaces as an unacked Put — never a torn ack.
+  // logc.append fires before any replica write; the put retries a failed
+  // append and is acked only once its log record is written.
   util::FailPoint::EnableError("rpc.send",
                                Status::Unavailable("chaos: rpc.send"),
                                util::FailPoint::Trigger::Probability(0.01));

@@ -13,6 +13,7 @@
 #include "coord/cluster.h"
 #include "client/nova_client.h"
 #include "lsm/version.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace nova {
@@ -292,6 +293,39 @@ TEST_F(IntegrationTest, LtcCrashRecoveryFromLogsAndManifest) {
     EXPECT_EQ(got, value) << key
                           << " newest=" << recovered->DebugFindNewest(key)
                           << " index=" << recovered->DebugLookupState(key);
+  }
+}
+
+TEST_F(IntegrationTest, FailedLogAppendIsNeverAcknowledged) {
+  // A put is acknowledged only once its log record is written: a failed
+  // append retries, so every acked value survives an LTC crash even when
+  // it was still in a memtable backed only by the log.
+  ClusterOptions opt = FastOptions(2, 3);
+  opt.split_points = bench::EvenSplitPoints(5000, 2);
+  StartCluster(opt);
+  util::FailPoint::Seed(21);
+  util::FailPoint::EnableError("logc.append",
+                               Status::Unavailable("injected: logc.append"),
+                               util::FailPoint::Trigger::Probability(0.02));
+  // Every key is written once, so any unlogged ack still in a memtable
+  // at the crash is a lost key.
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 2500; i++) {
+    std::string key = Key(i);  // range 0 only
+    std::string value = "v" + std::to_string(i);
+    if (cluster_->Put(key, value).ok()) {
+      oracle[key] = value;
+    }
+  }
+  util::FailPoint::DisableAll();
+  EXPECT_EQ(oracle.size(), 2500u) << "a transient append failure failed a put";
+  cluster_->KillLtc(0);
+  ASSERT_TRUE(cluster_->RecoverLtcRanges(0, 1, 4).ok());
+  for (const auto& [key, value] : oracle) {
+    std::string got;
+    Status s = cluster_->Get(key, &got);
+    ASSERT_TRUE(s.ok()) << key << " " << s.ToString();
+    EXPECT_EQ(got, value) << key;
   }
 }
 

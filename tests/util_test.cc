@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/coding.h"
@@ -116,6 +118,64 @@ TEST(Crc32cTest, KnownProperties) {
 TEST(Crc32cTest, StandardVector) {
   // CRC32C of "123456789" is 0xE3069283 (iSCSI test vector).
   EXPECT_EQ(crc32c::Value("123456789", 9), 0xE3069283u);
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  char buf[32];
+  memset(buf, 0, sizeof(buf));
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x8A9136AAu);
+  memset(buf, 0xff, sizeof(buf));
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x62A8AB43u);
+  for (int i = 0; i < 32; i++) {
+    buf[i] = static_cast<char>(i);
+  }
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x46DD794Eu);
+  for (int i = 0; i < 32; i++) {
+    buf[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(crc32c::Value(buf, sizeof(buf)), 0x113FDB5Cu);
+}
+
+/// Bit-at-a-time CRC32C: the definition the table-driven code must match.
+uint32_t BitwiseCrc32c(const char* data, size_t n) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < n; i++) {
+    crc ^= static_cast<uint8_t>(data[i]);
+    for (int k = 0; k < 8; k++) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32cTest, EveryLengthAndAlignmentMatchesBitwise) {
+  Random rng(3720);
+  char buf[64 + 8];
+  for (char& b : buf) {
+    b = static_cast<char>(rng.Next());
+  }
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t len = 0; len <= 64; len++) {
+      EXPECT_EQ(crc32c::Value(buf + align, len),
+                BitwiseCrc32c(buf + align, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendSplitAtEveryPoint) {
+  Random rng(9);
+  std::string data(100, '\0');
+  for (char& b : data) {
+    b = static_cast<char>(rng.Next());
+  }
+  uint32_t whole = crc32c::Value(data.data(), data.size());
+  for (size_t split = 0; split <= data.size(); split++) {
+    uint32_t head = crc32c::Value(data.data(), split);
+    EXPECT_EQ(crc32c::Extend(head, data.data() + split, data.size() - split),
+              whole)
+        << "split " << split;
+  }
 }
 
 TEST(RandomTest, UniformBounds) {
