@@ -25,6 +25,7 @@ std::vector<rdma::NodeId> Cluster::AliveStocNodes() {
 }
 
 void Cluster::WireStoc(int index) {
+  stocs_[index]->stoc_client()->set_membership(coordinator_.membership());
   stocs_[index]->set_compaction_handler(
       [this, index](rdma::NodeId, const Slice& payload) -> std::string {
         lsm::CompactionJob job;
@@ -36,8 +37,9 @@ void Cluster::WireStoc(int index) {
           range_id =
               stoc::FileIdRange(job.inputs[0]->meta_replicas[0].file_id);
         }
-        lsm::TableCache cache(stoc_clients_[index].get());
-        lsm::SSTablePlacer placer(stoc_clients_[index].get(),
+        stoc::StocClient* client = stocs_[index]->stoc_client();
+        lsm::TableCache cache(client);
+        lsm::SSTablePlacer placer(client,
                                   PlacementFor(range_id, AliveStocNodes()));
         lsm::CompactionExecutor exec(&cache, &placer,
                                      stocs_[index]->throttle());
@@ -91,9 +93,6 @@ void Cluster::Start() {
     stocs_.push_back(std::make_unique<stoc::StocServer>(
         &fabric_, StocNode(i), devices_.back().get(), stores_.back().get(),
         options_.stoc));
-    stoc_clients_.push_back(
-        std::make_unique<stoc::StocClient>(stocs_.back()->endpoint()));
-    stoc_clients_.back()->set_membership(coordinator_.membership());
     stoc_alive_.push_back(true);
     WireStoc(i);
     stocs_[i]->Start();
@@ -125,9 +124,10 @@ void Cluster::Start() {
     a.ltc_index = r * options_.num_ltcs / num_ranges;
     config.ranges.push_back(a);
 
-    ltc::RangeEngine* engine =
-        ltcs_[a.ltc_index]->AddRange(RangeOptionsFor(a), stoc_nodes);
+    std::unique_ptr<ltc::RangeEngine> engine =
+        ltcs_[a.ltc_index]->NewRange(RangeOptionsFor(a), stoc_nodes);
     engine->placer()->set_options(PlacementFor(a.range_id, stoc_nodes));
+    ltcs_[a.ltc_index]->PublishRange(std::move(engine));
   }
   for (int i = 0; i < options_.num_stocs; i++) {
     config.alive_stocs.push_back(i);
@@ -256,9 +256,6 @@ void Cluster::RestartStoc(int index) {
   stocs_[index] = std::make_unique<stoc::StocServer>(
       &fabric_, StocNode(index), devices_[index].get(),
       stores_[index].get(), options_.stoc);
-  stoc_clients_[index] =
-      std::make_unique<stoc::StocClient>(stocs_[index]->endpoint());
-  stoc_clients_[index]->set_membership(coordinator_.membership());
   WireStoc(index);
   stocs_[index]->Start();
   stoc_alive_[index] = true;
@@ -312,14 +309,14 @@ Status Cluster::RecoverLtcRanges(int crashed_ltc, int dst_ltc,
         target = rr++ % static_cast<int>(ltcs_.size());
       } while (!ltc_alive_[target] || target == crashed_ltc);
     }
-    ltc::RangeEngine* engine = ltcs_[target]->AddRangeForRecovery(
-        RangeOptionsFor(r), stoc_nodes);
+    std::unique_ptr<ltc::RangeEngine> engine =
+        ltcs_[target]->NewRange(RangeOptionsFor(r), stoc_nodes);
     engine->placer()->set_options(PlacementFor(r.range_id, stoc_nodes));
     Status s = engine->RecoverFromManifest(recovery_threads);
     if (!s.ok() && !s.IsNotFound()) {
       return s;
     }
-    engine->Bootstrap();
+    ltcs_[target]->PublishRange(std::move(engine));
     r.ltc_index = target;
   }
   coordinator_.UpdateConfig(std::move(cfg));
@@ -362,14 +359,14 @@ Status Cluster::MigrateRange(uint32_t range_id, int dst_ltc,
   // 3. Install at the destination and rebuild memtables from log records
   //    with parallel background threads.
   std::vector<rdma::NodeId> stoc_nodes = AliveStocNodes();
-  ltc::RangeEngine* engine = ltcs_[dst_ltc]->AddRangeForRecovery(
-      RangeOptionsFor(*assignment), stoc_nodes);
+  std::unique_ptr<ltc::RangeEngine> engine =
+      ltcs_[dst_ltc]->NewRange(RangeOptionsFor(*assignment), stoc_nodes);
   engine->placer()->set_options(PlacementFor(range_id, stoc_nodes));
   Status s = engine->InstallFromMigrationState(state, recovery_threads);
   if (!s.ok()) {
     return s;
   }
-  engine->Bootstrap();
+  ltcs_[dst_ltc]->PublishRange(std::move(engine));
   // 4. Publish the new configuration.
   assignment->ltc_index = dst_ltc;
   coordinator_.UpdateConfig(std::move(cfg));
@@ -384,9 +381,6 @@ int Cluster::AddStoc() {
   stocs_.push_back(std::make_unique<stoc::StocServer>(
       &fabric_, StocNode(index), devices_.back().get(),
       stores_.back().get(), options_.stoc));
-  stoc_clients_.push_back(
-      std::make_unique<stoc::StocClient>(stocs_.back()->endpoint()));
-  stoc_clients_.back()->set_membership(coordinator_.membership());
   stoc_alive_.push_back(true);
   WireStoc(index);
   stocs_[index]->Start();

@@ -110,8 +110,6 @@ class Cluster {
   std::vector<std::unique_ptr<SimulatedDevice>> devices_;
   std::vector<std::unique_ptr<BlockStore>> stores_;
   std::vector<std::unique_ptr<stoc::StocServer>> stocs_;
-  std::vector<std::unique_ptr<rdma::RpcEndpoint>> stoc_client_endpoints_;
-  std::vector<std::unique_ptr<stoc::StocClient>> stoc_clients_;
   std::vector<bool> stoc_alive_;
 
   std::vector<std::unique_ptr<ltc::LtcServer>> ltcs_;

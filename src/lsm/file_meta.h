@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mem/dbformat.h"
+#include "stoc/stoc_common.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -19,12 +20,7 @@ namespace nova {
 namespace lsm {
 
 /// One stored copy of a fragment / metadata / parity block.
-struct BlockLocation {
-  int32_t stoc_id = -1;
-  uint64_t file_id = 0;
-
-  bool valid() const { return stoc_id >= 0; }
-};
+using BlockLocation = stoc::BlockLocation;
 
 struct FileMetaData {
   uint64_t number = 0;

@@ -10,69 +10,54 @@
 namespace nova {
 namespace lsm {
 
-Status StocBlockFetcher::ReadFragment(int fragment, uint64_t offset,
-                                      uint64_t size, std::string* out) {
-  // Power-of-d replica selection + hedging live in the client: the read
-  // goes to the least-loaded replicas, stragglers are hedged, and the
-  // remaining candidates serve as failover.
-  std::vector<stoc::GatherRead::Target> targets;
-  targets.reserve(meta_->fragments[fragment].size());
-  for (const BlockLocation& loc : meta_->fragments[fragment]) {
-    targets.push_back({loc.stoc_id, loc.file_id});
+void XorInto(std::string* acc, const Slice& data) {
+  size_t n = std::min(acc->size(), data.size());
+  for (size_t j = 0; j < n; j++) {
+    (*acc)[j] ^= data[j];
   }
-  return client_->ReadReplicated(targets, offset, size, out);
 }
 
-Status StocBlockFetcher::ReconstructFromParity(int fragment,
-                                               std::string* full_fragment) {
-  if (!meta_->parity.valid()) {
+Status ReconstructFromParity(stoc::StocClient* client,
+                             const FileMetaData& meta, int fragment,
+                             std::string* out) {
+  if (!meta.parity.valid()) {
     return Status::Unavailable("fragment lost and no parity block");
   }
-  // Parity is the XOR of all fragments zero-padded to the longest one.
-  // Gather the parity block and every surviving fragment in one parallel
-  // batch (replica failover included) — the degraded read costs one
-  // round-trip-ish, not |fragments| serial ones.
-  std::vector<stoc::GatherRead> reads;
-  reads.emplace_back();
-  reads.back().replicas.push_back(
-      {meta_->parity.stoc_id, meta_->parity.file_id});
-  for (int f = 0; f < static_cast<int>(meta_->fragments.size()); f++) {
-    if (f == fragment) {
-      continue;
-    }
-    reads.emplace_back();
-    reads.back().size = meta_->fragment_sizes[f];
-    for (const BlockLocation& loc : meta_->fragments[f]) {
-      reads.back().replicas.push_back({loc.stoc_id, loc.file_id});
+  // Issue the parity read and every surviving fragment's read (replica
+  // failover included) before waiting for any: the degraded read costs
+  // about one round trip, not |fragments| serial ones.
+  stoc::PendingRead parity = client->Read({meta.parity}, 0, 0);
+  std::vector<stoc::PendingRead> others;
+  for (int f = 0; f < static_cast<int>(meta.fragments.size()); f++) {
+    if (f != fragment) {
+      others.push_back(client->Read(meta.fragments[f], 0,
+                                    meta.fragment_sizes[f]));
     }
   }
-  Status s = client_->GatherReads(&reads);
+  util::Deadline deadline = rdma::RpcDeadline();
+  std::string acc;
+  Status s = parity.Wait(&acc, deadline);
   if (!s.ok()) {
-    if (!reads[0].status.ok()) {
-      return reads[0].status;  // the parity block itself is gone
-    }
-    return Status::Unavailable("second fragment loss; parity insufficient");
+    return s;  // the parity block itself is gone
   }
-  std::string acc = std::move(reads[0].data);
-  for (size_t i = 1; i < reads.size(); i++) {
-    const std::string& other = reads[i].data;
-    for (size_t j = 0; j < other.size() && j < acc.size(); j++) {
-      acc[j] ^= other[j];
+  std::string other;
+  for (stoc::PendingRead& read : others) {
+    if (!read.Wait(&other, deadline).ok()) {
+      return Status::Unavailable("second fragment loss; parity insufficient");
     }
+    XorInto(&acc, other);
   }
-  acc.resize(meta_->fragment_sizes[fragment]);
-  *full_fragment = std::move(acc);
-  degraded_reads_.fetch_add(1, std::memory_order_relaxed);
+  acc.resize(meta.fragment_sizes[fragment]);
+  *out = std::move(acc);
   return Status::OK();
 }
 
 namespace {
 
-/// One readahead read in flight to the least-loaded replica. Failures
-/// surface to the caller (the scan iterator), which retries through the
-/// reader's synchronous path — full replica failover + parity
-/// reconstruction — so a failed prefetch is never silently counted as
-/// served-ahead.
+/// One readahead read in flight. Failures surface to the caller (the scan
+/// iterator), which retries through the reader's synchronous path — which
+/// adds parity reconstruction — so a failed prefetch is never silently
+/// counted as served-ahead.
 class StocPendingFetch : public BlockFetcher::Pending {
  public:
   explicit StocPendingFetch(stoc::PendingRead read) : read_(std::move(read)) {}
@@ -91,13 +76,8 @@ std::unique_ptr<BlockFetcher::Pending> StocBlockFetcher::StartFetch(
       meta_->fragments[fragment].empty()) {
     return nullptr;
   }
-  std::vector<stoc::GatherRead::Target> targets;
-  targets.reserve(meta_->fragments[fragment].size());
-  for (const BlockLocation& loc : meta_->fragments[fragment]) {
-    targets.push_back({loc.stoc_id, loc.file_id});
-  }
   return std::make_unique<StocPendingFetch>(
-      client_->AsyncReadLeastLoaded(targets, offset, size));
+      client_->Read(meta_->fragments[fragment], offset, size));
 }
 
 Status StocBlockFetcher::Fetch(int fragment, uint64_t offset, uint64_t size,
@@ -105,16 +85,19 @@ Status StocBlockFetcher::Fetch(int fragment, uint64_t offset, uint64_t size,
   if (fragment < 0 || fragment >= static_cast<int>(meta_->fragments.size())) {
     return Status::InvalidArgument("no such fragment");
   }
-  Status s = ReadFragment(fragment, offset, size, out);
+  // Power-of-d replica selection, failover and hedging live in the
+  // client's Read.
+  Status s = client_->Read(meta_->fragments[fragment], offset, size).Wait(out);
   if (s.ok()) {
     return s;
   }
   // Degraded mode: rebuild the whole fragment, then slice.
   std::string full;
-  Status rs = ReconstructFromParity(fragment, &full);
+  Status rs = ReconstructFromParity(client_, *meta_, fragment, &full);
   if (!rs.ok()) {
     return rs;
   }
+  degraded_reads_.fetch_add(1, std::memory_order_relaxed);
   if (offset + size > full.size()) {
     return Status::InvalidArgument("read past reconstructed fragment");
   }
@@ -201,12 +184,7 @@ Status TableCache::GetReader(const FileMetaRef& meta, Handle* handle) {
       // replicas are equivalent, so the least-loaded wins). Concurrent
       // misses on the same file may both open it; the loser's entry is
       // displaced and reclaimed once its pins drop.
-      std::vector<stoc::GatherRead::Target> targets;
-      targets.reserve(meta->meta_replicas.size());
-      for (const BlockLocation& loc : meta->meta_replicas) {
-        targets.push_back({loc.stoc_id, loc.file_id});
-      }
-      Status s = client_->ReadReplicated(targets, 0, 0, &encoded);
+      Status s = client_->Read(meta->meta_replicas, 0, 0).Wait(&encoded);
       if (!s.ok()) {
         return s;
       }
@@ -345,7 +323,8 @@ std::vector<rdma::NodeId> SSTablePlacer::PickStocs(int count) {
   for (int i = 0; i < d; i++) {
     stoc::StocStats stats;
     int depth = 1 << 20;  // unreachable StoCs sort last
-    if (client_->GetStats(candidates[i], &stats, /*timeout_ms=*/100).ok()) {
+    if (client_->GetStats(candidates[i], &stats, util::Deadline::After(100))
+            .ok()) {
       depth = stats.queue_depth;
     }
     depths.emplace_back(depth, candidates[i]);
@@ -390,20 +369,19 @@ PendingSSTable::PendingSSTable(PendingSSTable&&) noexcept = default;
 PendingSSTable& PendingSSTable::operator=(PendingSSTable&&) noexcept =
     default;
 
-Status PendingSSTable::Wait(FileMetaData* out) {
+Status PendingSSTable::Wait(FileMetaData* out,
+                            const util::Deadline& deadline) {
   if (state_ == nullptr) {
     return Status::InvalidArgument("no write in flight");
   }
   std::unique_ptr<State> st = std::move(state_);
   Status first_error;
   // One deadline spans the whole ack drain: a wedged StoC costs the batch
-  // a single budget, not 30 s per outstanding task.
-  util::Deadline deadline = util::Deadline::After(30000);
+  // a single budget, not one per outstanding task.
   for (size_t i = 0; i < st->tasks.size(); i++) {
     const State::WriteTask& t = st->tasks[i];
     stoc::StocBlockHandle handle;
-    Status s = st->appends[i].Wait(
-        &handle, static_cast<int>(deadline.remaining_ms(30000)));
+    Status s = st->appends[i].Wait(&handle, deadline);
     if (!s.ok()) {
       if (first_error.ok()) {
         first_error = s;
@@ -507,9 +485,8 @@ Status SSTablePlacer::StartWrite(SSTableBuilder::Result&& built,
     parity.assign(max_frag, '\0');
     uint64_t off = 0;
     for (int f = 0; f < nfrags; f++) {
-      for (uint64_t i = 0; i < tmeta.fragment_sizes[f]; i++) {
-        parity[i] ^= state->data[off + i];
-      }
+      XorInto(&parity, Slice(state->data.data() + off,
+                             tmeta.fragment_sizes[f]));
       off += tmeta.fragment_sizes[f];
     }
     // Prefer a StoC not already hosting a fragment.

@@ -40,9 +40,10 @@ class StocBlockFetcher : public BlockFetcher {
   Status Fetch(int fragment, uint64_t offset, uint64_t size,
                std::string* out) override;
 
-  /// Async fetch for scan readahead: issues the read to the first replica
-  /// immediately. A failed read surfaces from Pending::Wait; callers
-  /// retry through Fetch (replica failover + parity reconstruction).
+  /// Async fetch for scan readahead: issues the same StocClient::Read as
+  /// Fetch (replica choice, failover and hedging included). A failed read
+  /// surfaces from Pending::Wait; callers retry through Fetch, which adds
+  /// parity reconstruction.
   std::unique_ptr<Pending> StartFetch(int fragment, uint64_t offset,
                                       uint64_t size) override;
 
@@ -50,14 +51,22 @@ class StocBlockFetcher : public BlockFetcher {
   uint64_t degraded_reads() const { return degraded_reads_; }
 
  private:
-  Status ReadFragment(int fragment, uint64_t offset, uint64_t size,
-                      std::string* out);
-  Status ReconstructFromParity(int fragment, std::string* full_fragment);
-
   stoc::StocClient* client_;
   FileMetaRef meta_;
   std::atomic<uint64_t> degraded_reads_{0};
 };
+
+/// XOR `data` into the first bytes of *acc (parity is the XOR of all
+/// fragments, each zero-padded to the longest).
+void XorInto(std::string* acc, const Slice& data);
+
+/// Rebuild fragment `fragment` of `meta` from its parity block and every
+/// other fragment, read as one batch under one deadline (the paper's
+/// Hybrid availability, Sections 3.1/4.4.1). Fails when the parity block
+/// or a second fragment is lost too.
+Status ReconstructFromParity(stoc::StocClient* client,
+                             const FileMetaData& meta, int fragment,
+                             std::string* out);
 
 class TableCache {
  public:
@@ -156,9 +165,10 @@ class PendingSSTable {
   PendingSSTable& operator=(PendingSSTable&&) noexcept;
 
   bool valid() const { return state_ != nullptr; }
-  /// Collect every flush acknowledgment and fill *out. Call at most once;
-  /// the pending state is consumed.
-  Status Wait(FileMetaData* out);
+  /// Collect every flush acknowledgment under one deadline and fill
+  /// *out. Call at most once; the pending state is consumed.
+  Status Wait(FileMetaData* out,
+              const util::Deadline& deadline = rdma::RpcDeadline());
 
  private:
   friend class SSTablePlacer;

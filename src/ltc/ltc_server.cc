@@ -77,23 +77,20 @@ void LtcServer::MaintenanceLoop() {
   }
 }
 
-RangeEngine* LtcServer::AddRange(const RangeEngineOptions& options,
-                                 const std::vector<rdma::NodeId>& stocs) {
-  RangeEngine* engine = AddRangeForRecovery(options, stocs);
-  engine->Bootstrap();
-  return engine;
-}
-
-RangeEngine* LtcServer::AddRangeForRecovery(
+std::unique_ptr<RangeEngine> LtcServer::NewRange(
     const RangeEngineOptions& options,
     const std::vector<rdma::NodeId>& stocs) {
-  auto engine = std::make_unique<RangeEngine>(
+  return std::make_unique<RangeEngine>(
       options, stoc_client_.get(), stocs, throttle_.get(), flush_pool_.get(),
       compaction_pool_.get(), block_cache_.get(), compressed_cache_.get(),
       options_.readahead_blocks);
+}
+
+RangeEngine* LtcServer::PublishRange(std::unique_ptr<RangeEngine> engine) {
+  engine->Bootstrap();
   RangeEngine* ptr = engine.get();
   std::lock_guard<std::mutex> l(mu_);
-  ranges_[options.range_id] = std::move(engine);
+  ranges_[ptr->options().range_id] = std::move(engine);
   return ptr;
 }
 

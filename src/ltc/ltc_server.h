@@ -71,13 +71,15 @@ class LtcServer {
   void Start();
   void Stop();
 
-  /// Create (and bootstrap) a range on this LTC. stocs is the set of
-  /// StoCs the range may use.
-  RangeEngine* AddRange(const RangeEngineOptions& options,
-                        const std::vector<rdma::NodeId>& stocs);
-  /// Create a range without bootstrapping (recovery / migration target).
-  RangeEngine* AddRangeForRecovery(const RangeEngineOptions& options,
-                                   const std::vector<rdma::NodeId>& stocs);
+  /// Create a range on this LTC without publishing it: a recovery or
+  /// migration target rebuilds its state first, with nothing else on this
+  /// server (maintenance, repair, routing) able to see it. stocs is the
+  /// set of StoCs the range may use.
+  std::unique_ptr<RangeEngine> NewRange(const RangeEngineOptions& options,
+                                        const std::vector<rdma::NodeId>& stocs);
+  /// Bootstrap the range's active memtables, then publish it to routing,
+  /// maintenance and repair.
+  RangeEngine* PublishRange(std::unique_ptr<RangeEngine> engine);
   /// Detach a range (migration source): it stops receiving requests from
   /// this server but stays alive (retired) so racing operations holding a
   /// pointer cannot use freed memory. Returns the detached engine.

@@ -1157,13 +1157,20 @@ Status RangeEngine::ManifestAppend(const Slice& record) {
 Status RangeEngine::ReadManifestRecords(std::vector<std::string>* records) {
   int replicas = std::min<int>(std::max(1, options_.manifest_replicas),
                                static_cast<int>(stocs_.size()));
-  std::vector<std::string> best;
+  // Each replica is its own file (they may differ: stale replicas), so
+  // each is one single-replica read; all are issued before any is waited.
+  std::vector<stoc::PendingRead> reads;
   for (int r = 0; r < replicas; r++) {
     uint64_t file_id =
         stoc::MakeFileId(options_.range_id, 0, stoc::FileKind::kManifest,
                          static_cast<uint8_t>(r));
+    reads.push_back(client_->Read({{stocs_[r], file_id}}, 0, 0));
+  }
+  util::Deadline deadline = rdma::RpcDeadline();
+  std::vector<std::string> best;
+  for (stoc::PendingRead& read : reads) {
     std::string contents;
-    if (!client_->ReadBlock(stocs_[r], file_id, 0, 0, &contents).ok()) {
+    if (!read.Wait(&contents, deadline).ok()) {
       continue;  // stale or unreachable replica
     }
     std::vector<std::string> parsed;
@@ -1237,6 +1244,15 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
   for (auto& [mid, recs] : by_memtable) {
     work.emplace_back(mid, &recs);
   }
+  // Reserve every log memtable's mid before replay starts: a mid handed
+  // out meanwhile must never equal one still to be rebuilt, or the two
+  // memtables overwrite each other's mid-table and memtable-map slots.
+  if (!work.empty()) {
+    uint64_t above = work.back().first + 1;
+    uint64_t cur = next_mid_.load();
+    while (cur < above && !next_mid_.compare_exchange_weak(cur, above)) {
+    }
+  }
   std::atomic<size_t> next{0};
   std::atomic<uint64_t> max_seq{last_sequence_.load()};
   const sim::CostModel& costs = sim::DefaultCostModel();
@@ -1267,11 +1283,13 @@ Status RangeEngine::RebuildFromLogs(int recovery_threads) {
       if (options_.enable_range_index && !lo.empty()) {
         range_index_->AddMemtable(mid, lo, hi + std::string(1, '\0'));
       }
-      std::lock_guard<std::mutex> lk(mu_);
-      all_memtables_[mid] = mem;
-      flush_queue_.push_back(mem);
-      if (mid >= next_mid_.load()) {
-        next_mid_.store(mid + 1);
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        all_memtables_[mid] = mem;
+        flush_queue_.push_back(mem);
+      }
+      if (replay_hook_) {
+        replay_hook_(mid);
       }
     }
   };

@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -211,8 +212,8 @@ class RangeEngine {
   RangeEngine(const RangeEngine&) = delete;
   RangeEngine& operator=(const RangeEngine&) = delete;
 
-  /// Create the initial active memtable(s). Call once before use (not
-  /// needed when recovering/migrating into this engine).
+  /// Create the active memtable(s) missing after construction, recovery
+  /// or migration (LtcServer::PublishRange calls it).
   void Bootstrap();
 
   Status Put(const Slice& key, const Slice& value);
@@ -250,6 +251,11 @@ class RangeEngine {
   Status InstallFromMigrationState(const Slice& state, int recovery_threads);
   /// Full crash recovery: manifest replay + log replay.
   Status RecoverFromManifest(int recovery_threads);
+  /// Test hook: runs on the replaying thread after each log memtable is
+  /// rebuilt (tests interleave memtable work with recovery through it).
+  void set_replay_hook(std::function<void(uint64_t mid)> hook) {
+    replay_hook_ = std::move(hook);
+  }
 
   RangeStats stats() const;
   DrangeManager* dranges() { return drange_.get(); }
@@ -334,6 +340,7 @@ class RangeEngine {
   MidTable mid_table_;
   std::unique_ptr<RangeIndex> range_index_;
 
+  std::function<void(uint64_t)> replay_hook_;
   std::atomic<uint64_t> last_sequence_{0};
   std::atomic<uint64_t> next_mid_{1};
   std::atomic<uint64_t> l0_bytes_{0};

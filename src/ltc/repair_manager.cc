@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "lsm/table_io.h"
 #include "stoc/stoc_common.h"
 #include "util/logging.h"
 
@@ -156,54 +157,20 @@ void RepairManager::ScanOnce() {
 Status RepairManager::FetchFragment(const lsm::FileMetaData& meta,
                                     int fragment, std::string* out) {
   // Surviving replicas first (cheap path)...
-  std::vector<stoc::GatherRead::Target> targets;
+  std::vector<lsm::BlockLocation> survivors;
   for (const lsm::BlockLocation& loc : meta.fragments[fragment]) {
     if (client_->IsRoutable(loc.stoc_id)) {
-      targets.push_back({loc.stoc_id, loc.file_id});
+      survivors.push_back(loc);
     }
   }
-  if (!targets.empty()) {
-    Status s = client_->ReadReplicated(targets, 0,
-                                       meta.fragment_sizes[fragment], out);
-    if (s.ok()) {
-      return s;
-    }
+  if (!survivors.empty() &&
+      client_->Read(survivors, 0, meta.fragment_sizes[fragment])
+          .Wait(out)
+          .ok()) {
+    return Status::OK();
   }
-  // ... else rebuild from parity + the other fragments in one gather
-  // (mirrors StocBlockFetcher::ReconstructFromParity).
-  if (!meta.parity.valid()) {
-    return Status::Unavailable("fragment lost and no parity block");
-  }
-  std::vector<stoc::GatherRead> reads;
-  reads.emplace_back();
-  reads.back().replicas.push_back({meta.parity.stoc_id, meta.parity.file_id});
-  for (int f = 0; f < static_cast<int>(meta.fragments.size()); f++) {
-    if (f == fragment) {
-      continue;
-    }
-    reads.emplace_back();
-    reads.back().size = meta.fragment_sizes[f];
-    for (const lsm::BlockLocation& loc : meta.fragments[f]) {
-      reads.back().replicas.push_back({loc.stoc_id, loc.file_id});
-    }
-  }
-  Status s = client_->GatherReads(&reads);
-  if (!s.ok()) {
-    return !reads[0].status.ok()
-               ? reads[0].status
-               : Status::Unavailable("second fragment loss; parity "
-                                     "insufficient for repair");
-  }
-  std::string acc = std::move(reads[0].data);
-  for (size_t i = 1; i < reads.size(); i++) {
-    const std::string& other = reads[i].data;
-    for (size_t j = 0; j < other.size() && j < acc.size(); j++) {
-      acc[j] ^= other[j];
-    }
-  }
-  acc.resize(meta.fragment_sizes[fragment]);
-  *out = std::move(acc);
-  return Status::OK();
+  // ... else rebuild from parity + the other fragments.
+  return lsm::ReconstructFromParity(client_, meta, fragment, out);
 }
 
 rdma::NodeId RepairManager::PickTarget(
@@ -334,14 +301,14 @@ RepairManager::FileRepairOutcome RepairManager::RepairFile(
       }
       outcome.degraded++;
       if (!fetched) {
-        std::vector<stoc::GatherRead::Target> survivors;
+        std::vector<lsm::BlockLocation> survivors;
         for (const lsm::BlockLocation& other : updated.meta_replicas) {
           if (!IsDead(dead, other.stoc_id)) {
-            survivors.push_back({other.stoc_id, other.file_id});
+            survivors.push_back(other);
           }
         }
         if (survivors.empty() ||
-            !client_->ReadReplicated(survivors, 0, 0, &meta_block).ok()) {
+            !client_->Read(survivors, 0, 0).Wait(&meta_block).ok()) {
           skipped = true;
           break;
         }
@@ -377,9 +344,7 @@ RepairManager::FileRepairOutcome RepairManager::RepairFile(
         ok = false;
         break;
       }
-      for (size_t j = 0; j < data.size(); j++) {
-        parity[j] ^= data[j];
-      }
+      lsm::XorInto(&parity, data);
     }
     std::vector<rdma::NodeId> exclude;
     for (const auto& replicas : updated.fragments) {

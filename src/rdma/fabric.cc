@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "rdma/rpc.h"
+
 namespace nova {
 namespace rdma {
 
@@ -15,18 +17,36 @@ void RdmaFabric::AddNode(NodeId node) {
 }
 
 void RdmaFabric::RemoveNode(NodeId node) {
-  std::unique_lock<std::mutex> l(mu_);
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    return;
+  {
+    std::unique_lock<std::mutex> l(mu_);
+    auto it = nodes_.find(node);
+    if (it == nodes_.end()) {
+      return;
+    }
+    it->second.alive = false;
+    // Drain in-flight one-sided copies before dropping the registrations:
+    // the node's owner will recycle (or free) the backing memory as soon
+    // as this returns.
+    DrainNodePinsLocked(&l, &it->second);
+    it->second.regions.clear();
+    it->second.inbound.clear();
   }
-  it->second.alive = false;
-  // Drain in-flight one-sided copies before dropping the registrations:
-  // the node's owner will recycle (or free) the backing memory as soon
-  // as this returns.
-  DrainNodePinsLocked(&l, &it->second);
-  it->second.regions.clear();
-  it->second.inbound.clear();
+  // The node is dead, so no answer from it can arrive any more: its
+  // requests were dropped with its inbound queue above.
+  std::lock_guard<std::mutex> l(endpoints_mu_);
+  for (RpcEndpoint* endpoint : endpoints_) {
+    endpoint->FailWaitersFor(node);
+  }
+}
+
+void RdmaFabric::Attach(RpcEndpoint* endpoint) {
+  std::lock_guard<std::mutex> l(endpoints_mu_);
+  endpoints_.insert(endpoint);
+}
+
+void RdmaFabric::Detach(RpcEndpoint* endpoint) {
+  std::lock_guard<std::mutex> l(endpoints_mu_);
+  endpoints_.erase(endpoint);
 }
 
 void RdmaFabric::DrainNodePinsLocked(std::unique_lock<std::mutex>* l,
@@ -196,15 +216,6 @@ bool RdmaFabric::PollInbound(NodeId node, InboundMessage* msg) {
   *msg = std::move(it->second.inbound.front());
   it->second.inbound.pop_front();
   return true;
-}
-
-size_t RdmaFabric::InboundDepth(NodeId node) const {
-  std::lock_guard<std::mutex> l(mu_);
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) {
-    return 0;
-  }
-  return it->second.inbound.size();
 }
 
 }  // namespace rdma

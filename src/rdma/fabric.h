@@ -9,7 +9,8 @@
 //    xchg threads poll).
 //  * SEND delivers a message payload to the target's inbound queue.
 //  * Reliable connected semantics: no drops; operations to a failed node
-//    return Status::Unavailable (connection error).
+//    return Status::Unavailable (connection error), and removing a node
+//    fails every request still waiting on it (see RemoveNode).
 //
 // Timing: network transfer times at 56 Gbps are sub-microsecond for the
 // block sizes used here and cannot be reproduced with OS sleeps, so the
@@ -26,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,8 @@ namespace nova {
 namespace rdma {
 
 using NodeId = int32_t;
+
+class RpcEndpoint;
 
 /// Address of a byte range inside a remote node's registered region.
 struct RemoteAddr {
@@ -74,8 +78,17 @@ class RdmaFabric {
   void AddNode(NodeId node);
 
   /// Take a node off the fabric: pending inbound messages are dropped and
-  /// its memory registrations removed — like a machine losing power.
+  /// its memory registrations removed — like a machine losing power. Like
+  /// RC queue pairs entering the error state, every attached endpoint then
+  /// fails its waiters for that node with Unavailable (and the node's own
+  /// endpoints fail all of theirs) instead of leaving them to their
+  /// deadlines.
   void RemoveNode(NodeId node);
+
+  /// Endpoints register here so RemoveNode can flush their waiters. An
+  /// endpoint attaches for its whole lifetime.
+  void Attach(RpcEndpoint* endpoint);
+  void Detach(RpcEndpoint* endpoint);
 
   bool IsAlive(NodeId node) const;
 
@@ -96,8 +109,6 @@ class RdmaFabric {
 
   /// Non-blocking poll of node's inbound queue.
   bool PollInbound(NodeId node, InboundMessage* msg);
-
-  size_t InboundDepth(NodeId node) const;
 
   FabricStats& stats() { return stats_; }
 
@@ -131,6 +142,11 @@ class RdmaFabric {
   std::condition_variable pin_cv_;
   std::map<NodeId, Node> nodes_;
   FabricStats stats_;
+
+  /// Held across RemoveNode's flush so no endpoint detaches (and is
+  /// destroyed) mid-flush. Never taken under mu_.
+  std::mutex endpoints_mu_;
+  std::set<RpcEndpoint*> endpoints_;
 };
 
 }  // namespace rdma

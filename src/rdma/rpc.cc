@@ -16,7 +16,6 @@ enum MsgKind : uint8_t {
   kRequest = 0,
   kResponse = 1,
   kTokenComplete = 2,
-  kOneWay = 3,
 };
 
 std::string Frame(MsgKind kind, uint64_t id, const Slice& payload) {
@@ -50,30 +49,37 @@ bool Future::ready() const {
   return state_->done;
 }
 
-Status Future::Wait(std::string* payload, int timeout_ms) {
+bool Future::ReadyBy(const util::Deadline& until) const {
+  if (state_ == nullptr) {
+    return false;
+  }
+  std::unique_lock<std::mutex> l(state_->mu);
+  auto done = [this] { return state_->done; };
+  if (until.infinite()) {
+    state_->cv.wait(l, done);
+    return true;
+  }
+  return state_->cv.wait_until(l, until.at(), done);
+}
+
+Status Future::Wait(std::string* payload, const util::Deadline& deadline) {
   if (state_ == nullptr) {
     return Status::InvalidArgument("invalid future");
   }
-  std::unique_lock<std::mutex> l(state_->mu);
-  if (!state_->cv.wait_for(l, std::chrono::milliseconds(timeout_ms),
-                           [this] { return state_->done; })) {
-    // Timed out: withdraw the waiter slot so a late response is dropped.
-    // Losing the withdrawal race means a completer holds the slot and is
-    // about to fulfill the state — wait for it. The timeout is typed
-    // Unavailable: a peer that never answered is operationally the same
-    // as one the fabric reports dead, and callers (circuit breaker,
-    // retry policies) key off that code.
-    l.unlock();
+  if (!ReadyBy(deadline)) {
+    // Deadline passed: withdraw the waiter slot so a late response is
+    // dropped. Losing the withdrawal race means a completer holds the
+    // slot and is about to fulfill the state — wait for it. The expiry
+    // is typed Unavailable: a peer that never answered is operationally
+    // the same as one the fabric reports dead, and callers (circuit
+    // breaker, retry policies) key off that code.
     if (state_->endpoint == nullptr ||
         !state_->endpoint->AbandonWaiter(
             state_->id, Status::Unavailable("rpc deadline exceeded"))) {
-      // No slot to withdraw (Failed() future raced, or completion in
-      // flight): the fulfillment is imminent.
-      std::unique_lock<std::mutex> l2(state_->mu);
-      state_->cv.wait(l2, [this] { return state_->done; });
+      ReadyBy(util::Deadline());
     }
-    l.lock();
   }
+  std::lock_guard<std::mutex> l(state_->mu);
   if (payload != nullptr && state_->status.ok()) {
     // Move, don't copy: responses can be whole fragments. The first Wait
     // that passes a payload pointer consumes it (see header contract).
@@ -81,13 +87,6 @@ Status Future::Wait(std::string* payload, int timeout_ms) {
     state_->payload.clear();
   }
   return state_->status;
-}
-
-Status Future::WaitUntil(std::string* payload, const util::Deadline& deadline) {
-  // Cap the per-call wait so an infinite deadline still degrades to the
-  // historical 30 s default rather than blocking forever.
-  int64_t ms = deadline.remaining_ms(30000);
-  return Wait(payload, static_cast<int>(ms));
 }
 
 bool Future::Cancel() {
@@ -123,9 +122,14 @@ RpcEndpoint::RpcEndpoint(RdmaFabric* fabric, NodeId node, int num_xchg_threads,
       node_(node),
       num_xchg_threads_(num_xchg_threads),
       throttle_(throttle == nullptr ? sim::CpuThrottle::Unlimited()
-                                    : throttle) {}
+                                    : throttle) {
+  fabric_->Attach(this);
+}
 
-RpcEndpoint::~RpcEndpoint() { Stop(); }
+RpcEndpoint::~RpcEndpoint() {
+  fabric_->Detach(this);
+  Stop();
+}
 
 void RpcEndpoint::Start() {
   if (running_.exchange(true)) {
@@ -215,11 +219,6 @@ void RpcEndpoint::Dispatch(const InboundMessage& msg) {
         request_handler_(msg.src, id, payload);
       }
       break;
-    case kOneWay:
-      if (request_handler_) {
-        request_handler_(msg.src, 0, payload);
-      }
-      break;
     case kResponse:
     case kTokenComplete:
       CompleteWaiter(id, payload);
@@ -227,12 +226,13 @@ void RpcEndpoint::Dispatch(const InboundMessage& msg) {
   }
 }
 
-Future RpcEndpoint::RegisterWaiter(uint64_t* id) {
+Future RpcEndpoint::RegisterWaiter(NodeId peer, uint64_t* id) {
   *id = next_id_.fetch_add(1);
   Future f;
   f.state_ = std::make_shared<Future::State>();
   f.state_->endpoint = this;
   f.state_->id = *id;
+  f.state_->peer = peer;
   std::lock_guard<std::mutex> l(waiters_mu_);
   waiters_[*id] = f.state_;
   return f;
@@ -272,12 +272,30 @@ size_t RpcEndpoint::num_pending_waiters() {
   return waiters_.size();
 }
 
+void RpcEndpoint::FailWaitersFor(NodeId node) {
+  std::vector<std::shared_ptr<Future::State>> failed;
+  {
+    std::lock_guard<std::mutex> l(waiters_mu_);
+    for (auto it = waiters_.begin(); it != waiters_.end();) {
+      if (node == node_ || it->second->peer == node) {
+        failed.push_back(std::move(it->second));
+        it = waiters_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (auto& state : failed) {
+    Fulfill(state, Status::Unavailable("peer left the fabric"), "");
+  }
+}
+
 Future RpcEndpoint::AsyncCall(NodeId dst, const Slice& request) {
   if (stopping_.load(std::memory_order_relaxed)) {
     return Future::Failed(Status::Unavailable("endpoint stopped"));
   }
   uint64_t id;
-  Future f = RegisterWaiter(&id);
+  Future f = RegisterWaiter(dst, &id);
   // Re-check after registering: if Stop() swept the waiter map between
   // the check above and RegisterWaiter, this waiter would wait out its
   // full timeout with nobody left to fulfill it.
@@ -300,20 +318,9 @@ Future RpcEndpoint::AsyncCall(NodeId dst, const Slice& request) {
 }
 
 Status RpcEndpoint::Call(NodeId dst, const Slice& request,
-                         std::string* response, int timeout_ms) {
-  return AsyncCall(dst, request).Wait(response, timeout_ms);
-}
-
-Status RpcEndpoint::OneWay(NodeId dst, const Slice& request) {
-  if (stopping_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("endpoint stopped");
-  }
-  throttle_->Charge(sim::DefaultCostModel().rdma_message_us);
-  Status s = util::FailPoint::Check("rpc.send");
-  if (!s.ok()) {
-    return s;
-  }
-  return fabric_->Send(node_, dst, Frame(kOneWay, 0, request));
+                         std::string* response,
+                         const util::Deadline& deadline) {
+  return AsyncCall(dst, request).Wait(response, deadline);
 }
 
 Status RpcEndpoint::Reply(NodeId dst, uint64_t req_id, const Slice& response) {
@@ -328,9 +335,9 @@ Status RpcEndpoint::Reply(NodeId dst, uint64_t req_id, const Slice& response) {
   return fabric_->Send(node_, dst, Frame(kResponse, req_id, response));
 }
 
-uint64_t RpcEndpoint::AllocToken(Future* future) {
+uint64_t RpcEndpoint::AllocToken(Future* future, NodeId peer) {
   uint64_t id;
-  *future = RegisterWaiter(&id);
+  *future = RegisterWaiter(peer, &id);
   return id;
 }
 

@@ -14,6 +14,17 @@
 // allocates a token, passes it in the open/alloc request, RDMA-WRITEs the
 // block with imm = region id, and the StoC completes the token once the
 // block is flushed — no extra client->server message.
+//
+// Deadlines: every wait (Future::Wait, Call) takes a util::Deadline that
+// its caller creates once and passes down a whole call chain; a caller
+// with no budget of its own uses RpcDeadline(), the one default budget.
+// A wait ends at the reply (or token completion), at the deadline, or
+// when its peer leaves the fabric: each waiter records the node it waits
+// on (the request's destination, or the StoC that completes a token), and
+// RdmaFabric::RemoveNode fails every endpoint's waiters for that node with
+// Unavailable at once, the way an RC queue pair in error state flushes its
+// outstanding work requests. Only a reply lost while both ends stay up
+// (the "rpc.reply" failpoint) waits out the deadline.
 #ifndef NOVA_RDMA_RPC_H_
 #define NOVA_RDMA_RPC_H_
 
@@ -36,6 +47,12 @@ namespace rdma {
 
 class RpcEndpoint;
 
+/// The default RPC budget, for callers that have no deadline of their own.
+constexpr int64_t kRpcBudgetMs = 30000;
+inline util::Deadline RpcDeadline() {
+  return util::Deadline::After(kRpcBudgetMs);
+}
+
 /// Completion handle for one asynchronous request/response or token wait.
 /// Lightweight and copyable; every copy shares one completion slot, which
 /// an xchg thread fulfills when the response (or a failure) lands. A
@@ -48,17 +65,19 @@ class Future {
   bool valid() const { return state_ != nullptr; }
   /// True once the result is available; never blocks.
   bool ready() const;
-  /// Block until completion or timeout. On timeout the waiter slot is
-  /// withdrawn, so a late response is dropped and every copy of this
-  /// future observes the timeout as a typed Status::Unavailable (a wedged
-  /// peer is indistinguishable from a dead one at this layer). payload
-  /// may be null. The payload is moved out by the first Wait that asks
-  /// for it (responses can be whole fragments); later Waits still see the
-  /// status but an empty payload.
-  Status Wait(std::string* payload, int timeout_ms = 30000);
-  /// Deadline-propagating variant: callers thread one util::Deadline down
-  /// a whole call chain instead of stacking per-hop 30 s defaults.
-  Status WaitUntil(std::string* payload, const util::Deadline& deadline);
+  /// Block until the result is available or `until` passes; returns
+  /// ready(). Never withdraws the waiter (a caller racing several futures
+  /// sleeps on one of them without giving up on it).
+  bool ReadyBy(const util::Deadline& until) const;
+  /// Block until completion or the deadline. At the deadline the waiter
+  /// slot is withdrawn, so a late response is dropped and every copy of
+  /// this future observes a typed Status::Unavailable (a wedged peer is
+  /// indistinguishable from a dead one at this layer). payload may be
+  /// null. The payload is moved out by the first Wait that asks for it
+  /// (responses can be whole fragments); later Waits still see the status
+  /// but an empty payload.
+  Status Wait(std::string* payload,
+              const util::Deadline& deadline = RpcDeadline());
 
   /// Withdraw interest in the result (hedged/duplicated requests: the
   /// losing attempt is cancelled once a winner returns). The waiter slot
@@ -84,6 +103,9 @@ class Future {
     /// withdraw the waiter slot; null for Failed() futures.
     RpcEndpoint* endpoint = nullptr;
     uint64_t id = 0;
+    /// The node whose answer completes this future; its removal from the
+    /// fabric fails the future.
+    NodeId peer = -1;
   };
   std::shared_ptr<State> state_;
 };
@@ -125,19 +147,17 @@ class RpcEndpoint {
   /// Synchronous request/response. Fails with Unavailable if dst is dead
   /// or the deadline passes with no response.
   Status Call(NodeId dst, const Slice& request, std::string* response,
-              int timeout_ms = 30000);
-
-  /// Send a request without waiting for any response.
-  Status OneWay(NodeId dst, const Slice& request);
+              const util::Deadline& deadline = RpcDeadline());
 
   /// Server side: complete the Call identified by (src, req_id).
   Status Reply(NodeId dst, uint64_t req_id, const Slice& response);
 
   /// Token flow (see file comment). AllocToken registers a waiter slot;
-  /// *future completes when some node calls CompleteToken(token). An
-  /// abandoned token costs a dormant slot until its completion arrives;
-  /// reap one that can never complete with future.Wait(nullptr, 0).
-  uint64_t AllocToken(Future* future);
+  /// *future completes when `peer` calls CompleteToken(token), and fails
+  /// if `peer` leaves the fabric first. An abandoned token costs a
+  /// dormant slot until its completion arrives; reap one that can never
+  /// complete with future.Cancel().
+  uint64_t AllocToken(Future* future, NodeId peer);
   /// Server side: complete a token on node dst.
   Status CompleteToken(NodeId dst, uint64_t token, const Slice& payload);
 
@@ -148,14 +168,19 @@ class RpcEndpoint {
   /// cancellations must not leak slots).
   size_t num_pending_waiters();
 
+  /// Fail with Unavailable every waiter whose peer is `node` — all of
+  /// them when `node` is this endpoint's own. Called by the fabric when
+  /// the node leaves it.
+  void FailWaitersFor(NodeId node);
+
  private:
   friend class Future;
 
   void XchgLoop(int thread_index);
   void Dispatch(const InboundMessage& msg);
-  /// Register a fresh waiter slot; the returned future completes when
-  /// CompleteWaiter runs for the slot's id.
-  Future RegisterWaiter(uint64_t* id);
+  /// Register a fresh waiter slot for an answer from `peer`; the returned
+  /// future completes when CompleteWaiter runs for the slot's id.
+  Future RegisterWaiter(NodeId peer, uint64_t* id);
   /// Complete state exactly once (later attempts are no-ops).
   static void Fulfill(const std::shared_ptr<Future::State>& state,
                       Status status, std::string payload);
@@ -183,7 +208,7 @@ class RpcEndpoint {
 
   /// Pending completions by request/token id. An entry is removed when
   /// its future is fulfilled (xchg thread), withdrawn on timeout, or
-  /// failed en masse by Stop().
+  /// failed en masse by Stop() or FailWaitersFor().
   std::mutex waiters_mu_;
   std::map<uint64_t, std::shared_ptr<Future::State>> waiters_;
   std::atomic<uint64_t> next_id_{1};

@@ -88,10 +88,11 @@ struct SSTableMetadata {
 /// replicas, the fetcher — not the table reader — decides which replica
 /// serves a given fetch. The StoC-backed implementation fans a Fetch out
 /// to the d least-loaded replicas (power-of-d over queue depth and EWMA
-/// read latency) and returns the first success, hedging stragglers after
-/// a p99-derived delay; StartFetch goes to the single least-loaded
-/// replica since readahead is advisory. Readers therefore always ask for
-/// (fragment, offset, size) and never name a replica.
+/// read latency) and returns the first success, failing over and hedging
+/// stragglers after a p99-derived delay. StartFetch (readahead) issues
+/// the same read, so it gets the same replica choice, failover and
+/// hedging. Readers therefore always ask for (fragment, offset, size) and
+/// never name a replica.
 class BlockFetcher {
  public:
   /// An in-flight asynchronous fetch started with StartFetch.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "util/failpoint.h"
 
@@ -10,11 +9,11 @@ namespace nova {
 namespace stoc {
 namespace {
 
-uint64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using Clock = std::chrono::steady_clock;
+
+/// While several attempts of one read race, Wait sleeps on the oldest and
+/// looks at the others this often.
+constexpr auto kRacePollSlice = std::chrono::microseconds(50);
 
 }  // namespace
 
@@ -60,14 +59,14 @@ void StocClient::CountWire(rdma::NodeId stoc, uint64_t sent,
 
 Status StocClient::SimpleCall(rdma::NodeId stoc, const std::string& req,
                               Slice* body, std::string* storage,
-                              int timeout_ms) {
+                              const util::Deadline& deadline) {
   Status s = util::FailPoint::Check("stoc.call");
   if (s.ok() && !AdmitRpc(stoc)) {
     // Circuit open: fail fast without contacting (or penalizing) the node.
     return Status::Unavailable("stoc circuit open");
   }
   if (s.ok()) {
-    s = endpoint_->Call(stoc, req, storage, timeout_ms);
+    s = endpoint_->Call(stoc, req, storage, deadline);
     CountWire(stoc, req.size(), s.ok() ? storage->size() : 0);
   }
   ReportRpc(stoc, s);
@@ -79,77 +78,11 @@ Status StocClient::SimpleCall(rdma::NodeId stoc, const std::string& req,
 
 Status StocClient::IdempotentCall(rdma::NodeId stoc, const std::string& req,
                                   Slice* body, std::string* storage,
-                                  int timeout_ms) {
-  util::Deadline deadline = util::Deadline::After(timeout_ms);
+                                  const util::Deadline& deadline) {
   util::RetryPolicy policy;
   return policy.Run(deadline, static_cast<uint64_t>(stoc), [&] {
-    return SimpleCall(stoc, req, body, storage,
-                      static_cast<int>(deadline.remaining_ms(timeout_ms)));
+    return SimpleCall(stoc, req, body, storage, deadline);
   });
-}
-
-PendingRead& PendingRead::operator=(PendingRead&& o) noexcept {
-  if (this == &o) {
-    return *this;
-  }
-  Settle(false);
-  future_ = std::move(o.future_);
-  load_ = std::move(o.load_);
-  client_ = o.client_;
-  stoc_ = o.stoc_;
-  start_us_ = o.start_us_;
-  settled_ = o.settled_;
-  o.load_ = nullptr;
-  o.client_ = nullptr;
-  o.settled_ = true;  // the moved-from read owns no load unit
-  return *this;
-}
-
-void PendingRead::Settle(bool record_latency) {
-  if (settled_) {
-    return;
-  }
-  settled_ = true;
-  if (load_ != nullptr) {
-    load_->outstanding.fetch_sub(1, std::memory_order_relaxed);
-    if (record_latency) {
-      uint64_t sample = NowUs() - start_us_;
-      // EWMA with 1/8 gain, seeded by the first observation.
-      uint64_t prev = load_->ewma_us.load(std::memory_order_relaxed);
-      uint64_t next = prev == 0 ? sample : (prev * 7 + sample) / 8;
-      load_->ewma_us.store(next, std::memory_order_relaxed);
-      if (client_ != nullptr) {
-        client_->RecordReadLatency(sample);
-      }
-    }
-  }
-}
-
-Status PendingRead::Wait(std::string* out, int timeout_ms) {
-  std::string storage;
-  Status s = future_.Wait(&storage, timeout_ms);
-  Settle(s.ok());
-  if (client_ != nullptr) {
-    client_->ReportRpc(stoc_, s);
-    if (s.ok()) {
-      client_->CountWire(stoc_, 0, storage.size());
-    }
-  }
-  if (!s.ok()) {
-    return s;
-  }
-  Slice body;
-  s = ParseResponse(storage, &body);
-  if (!s.ok()) {
-    return s;
-  }
-  out->assign(body.data(), body.size());
-  return Status::OK();
-}
-
-void PendingRead::Cancel() {
-  future_.Cancel();
-  Settle(false);
 }
 
 PendingAppend& PendingAppend::operator=(PendingAppend&& o) noexcept {
@@ -171,7 +104,7 @@ PendingAppend& PendingAppend::operator=(PendingAppend&& o) noexcept {
 
 void PendingAppend::Abandon() {
   if (client_ != nullptr && !settled_) {
-    flush_ack_.Wait(nullptr, 0);
+    flush_ack_.Cancel();
     settled_ = true;
   }
 }
@@ -206,14 +139,15 @@ Status PendingAppend::Arm() {
     }
   }
   if (!armed_status_.ok()) {
-    flush_ack_.Wait(nullptr, 0);  // reap the never-to-complete token
+    flush_ack_.Cancel();  // reap the never-to-complete token
     settled_ = true;
   }
   client_->ReportRpc(stoc_, armed_status_);
   return armed_status_;
 }
 
-Status PendingAppend::Wait(StocBlockHandle* handle, int timeout_ms) {
+Status PendingAppend::Wait(StocBlockHandle* handle,
+                           const util::Deadline& deadline) {
   if (!valid()) {
     return Status::InvalidArgument("invalid pending append");
   }
@@ -227,7 +161,7 @@ Status PendingAppend::Wait(StocBlockHandle* handle, int timeout_ms) {
   }
   // 3-4. The StoC flushes and completes our token with the block handle.
   std::string payload;
-  Status s = flush_ack_.Wait(&payload, timeout_ms);
+  Status s = flush_ack_.Wait(&payload, deadline);
   settled_ = true;  // waited (or timed out, which withdrew the slot)
   client_->ReportRpc(stoc_, s);
   if (s.ok()) {
@@ -265,7 +199,7 @@ PendingAppend StocClient::AsyncAppendBlock(rdma::NodeId stoc,
     return pending;
   }
   // 1. Ask the StoC for a buffer, registering our completion token.
-  uint64_t token = endpoint_->AllocToken(&pending.flush_ack_);
+  uint64_t token = endpoint_->AllocToken(&pending.flush_ack_, stoc);
   std::string req;
   req.push_back(kOpAllocBlock);
   PutVarint64(&req, file_id);
@@ -303,7 +237,7 @@ uint64_t StocClient::HedgeDelayUs() {
 }
 
 std::vector<size_t> StocClient::RankReplicas(
-    const std::vector<GatherRead::Target>& replicas) {
+    const std::vector<BlockLocation>& replicas) {
   struct Ranked {
     size_t index;
     bool routable;
@@ -313,9 +247,9 @@ std::vector<size_t> StocClient::RankReplicas(
   std::vector<Ranked> ranked;
   ranked.reserve(replicas.size());
   for (size_t i = 0; i < replicas.size(); i++) {
-    std::shared_ptr<StocLoad> l = load(replicas[i].stoc);
+    std::shared_ptr<StocLoad> l = load(replicas[i].stoc_id);
     ranked.push_back(
-        Ranked{i, IsRoutable(replicas[i].stoc),
+        Ranked{i, IsRoutable(replicas[i].stoc_id),
                l->outstanding.load(std::memory_order_relaxed) +
                    l->rank_bias.load(std::memory_order_relaxed),
                l->ewma_us.load(std::memory_order_relaxed)});
@@ -343,242 +277,275 @@ std::vector<size_t> StocClient::RankReplicas(
   return order;
 }
 
-PendingRead StocClient::AsyncReadBlock(rdma::NodeId stoc, uint64_t file_id,
-                                       uint64_t offset, uint64_t size) {
+/// Everything one Read owns: its candidate replicas and the attempts
+/// issued to them so far.
+struct PendingRead::State {
+  struct Attempt {
+    rdma::Future future;
+    rdma::NodeId stoc = -1;
+    /// The StoC's load while the attempt holds one outstanding unit;
+    /// null for attempts that never reached the wire.
+    std::shared_ptr<StocLoad> load;
+    /// Feed the outcome into membership (false for breaker rejections:
+    /// the node caused nothing).
+    bool report = false;
+    bool hedge = false;
+    bool done = false;
+    Clock::time_point start;
+  };
+
+  StocClient* client = nullptr;
+  std::vector<BlockLocation> replicas;
+  std::vector<size_t> order;  // candidate indices, least-loaded first
+  size_t next = 0;            // next candidate in `order` to issue
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  /// One hedge may still be sent, at hedge_at.
+  bool hedge_pending = false;
+  Clock::time_point hedge_at;
+  std::vector<Attempt> attempts;
+  Status last_error = Status::Unavailable("no replicas");
+
+  State() = default;
+  State(const State&) = delete;
+  State& operator=(const State&) = delete;
+  ~State() {
+    for (Attempt& a : attempts) {
+      Drop(&a);
+    }
+  }
+
+  /// Withdraw an attempt still in flight and release its load unit.
+  static void Drop(Attempt* a) {
+    if (a->done) {
+      return;
+    }
+    a->future.Cancel();
+    a->done = true;
+    if (a->load != nullptr) {
+      a->load->outstanding.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+};
+
+PendingRead::PendingRead() = default;
+PendingRead::~PendingRead() = default;
+PendingRead::PendingRead(PendingRead&&) noexcept = default;
+PendingRead& PendingRead::operator=(PendingRead&&) noexcept = default;
+
+bool PendingRead::ready() const {
+  if (state_ == nullptr) {
+    return false;
+  }
+  for (const State::Attempt& a : state_->attempts) {
+    if (!a.done && a.future.ready()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void PendingRead::Issue(bool hedge) {
+  State& st = *state_;
+  StocClient* c = st.client;
+  const BlockLocation& t = st.replicas[st.order[st.next++]];
+  st.attempts.emplace_back();
+  State::Attempt& a = st.attempts.back();
+  a.stoc = t.stoc_id;
+  a.hedge = hedge;
+  if (hedge) {
+    st.hedge_pending = false;
+    c->hedged_issued_.fetch_add(1, std::memory_order_relaxed);
+  }
   Status fp = util::FailPoint::Check("stoc.read");
   if (!fp.ok()) {
     // Injected read fault: pre-failed, feeds the health state machine.
-    PendingRead pending;
-    pending.client_ = this;
-    pending.stoc_ = stoc;
-    pending.settled_ = true;  // owns no load unit
-    pending.future_ = rdma::Future::Failed(std::move(fp));
-    return pending;
+    a.report = true;
+    a.future = rdma::Future::Failed(std::move(fp));
+    return;
   }
-  if (!AdmitRpc(stoc)) {
-    // Breaker open: fail fast without contacting (or penalizing) the
-    // node. client_ stays null so Wait does not report a failure the
-    // node never caused.
-    PendingRead pending;
-    pending.stoc_ = stoc;
-    pending.settled_ = true;
-    pending.future_ =
-        rdma::Future::Failed(Status::Unavailable("stoc circuit open"));
-    return pending;
+  if (!c->AdmitRpc(t.stoc_id)) {
+    // Breaker open: fail fast without contacting (or penalizing) the node.
+    a.future = rdma::Future::Failed(Status::Unavailable("stoc circuit open"));
+    return;
   }
-  read_block_calls_.fetch_add(1, std::memory_order_relaxed);
+  c->read_block_calls_.fetch_add(1, std::memory_order_relaxed);
   std::string req;
   req.push_back(kOpReadBlock);
-  PutVarint64(&req, file_id);
-  PutVarint64(&req, offset);
-  PutVarint64(&req, size);
-  PendingRead pending;
-  pending.client_ = this;
-  pending.load_ = load(stoc);
-  pending.load_->outstanding.fetch_add(1, std::memory_order_relaxed);
-  pending.load_->issued.fetch_add(1, std::memory_order_relaxed);
-  pending.start_us_ = NowUs();
-  pending.future_ = endpoint_->AsyncCall(stoc, req);
-  CountWire(stoc, req.size(), 0);
-  return pending;
+  PutVarint64(&req, t.file_id);
+  PutVarint64(&req, st.offset);
+  PutVarint64(&req, st.size);
+  a.report = true;
+  a.load = c->load(t.stoc_id);
+  a.load->outstanding.fetch_add(1, std::memory_order_relaxed);
+  a.load->issued.fetch_add(1, std::memory_order_relaxed);
+  a.start = Clock::now();
+  a.future = c->endpoint_->AsyncCall(t.stoc_id, req);
+  c->CountWire(t.stoc_id, req.size(), 0);
 }
 
-PendingRead StocClient::AsyncReadLeastLoaded(
-    const std::vector<GatherRead::Target>& replicas, uint64_t offset,
-    uint64_t size) {
-  if (replicas.empty()) {
-    return PendingRead();
+Status PendingRead::Finish(size_t i, std::string* out,
+                           const util::Deadline& deadline) {
+  State::Attempt& a = state_->attempts[i];
+  StocClient* c = state_->client;
+  std::string storage;
+  Status s = a.future.Wait(&storage, deadline);
+  a.done = true;
+  if (a.load != nullptr) {
+    a.load->outstanding.fetch_sub(1, std::memory_order_relaxed);
+    if (s.ok()) {
+      uint64_t sample = std::chrono::duration_cast<std::chrono::microseconds>(
+                            Clock::now() - a.start)
+                            .count();
+      // EWMA with 1/8 gain, seeded by the first observation.
+      uint64_t prev = a.load->ewma_us.load(std::memory_order_relaxed);
+      uint64_t next = prev == 0 ? sample : (prev * 7 + sample) / 8;
+      a.load->ewma_us.store(next, std::memory_order_relaxed);
+      c->RecordReadLatency(sample);
+    }
   }
-  const GatherRead::Target& t = replicas[RankReplicas(replicas)[0]];
-  return AsyncReadBlock(t.stoc, t.file_id, offset, size);
-}
-
-Status StocClient::ReadBlock(rdma::NodeId stoc, uint64_t file_id,
-                             uint64_t offset, uint64_t size,
-                             std::string* out) {
-  return AsyncReadBlock(stoc, file_id, offset, size).Wait(out);
-}
-
-Status StocClient::ReadReplicated(
-    const std::vector<GatherRead::Target>& replicas, uint64_t offset,
-    uint64_t size, std::string* out, int timeout_ms) {
-  std::vector<GatherRead> reads(1);
-  reads[0].replicas = replicas;
-  reads[0].offset = offset;
-  reads[0].size = size;
-  Status s = GatherReads(&reads, timeout_ms);
+  if (a.report) {
+    c->ReportRpc(a.stoc, s);
+    if (s.ok()) {
+      c->CountWire(a.stoc, 0, storage.size());
+    }
+  }
+  if (!s.ok()) {
+    return s;
+  }
+  Slice body;
+  s = ParseResponse(storage, &body);
   if (s.ok()) {
-    *out = std::move(reads[0].data);
+    storage.erase(0, storage.size() - body.size());
+    *out = std::move(storage);
   }
   return s;
 }
 
-Status StocClient::GatherReads(std::vector<GatherRead>* reads,
-                               int timeout_ms) {
-  ReadPolicy policy = read_policy();
-  struct Attempt {
-    PendingRead pending;
-    bool done = false;
-    bool is_hedge = false;
-  };
-  struct Entry {
-    std::vector<size_t> order;  // candidate indices, least-loaded first
-    std::vector<Attempt> attempts;
-    size_t next_candidate = 0;
-    uint64_t issued_at_us = 0;
-    bool hedged = false;
-    bool finished = false;
-    Status last_error;
-  };
-  std::vector<Entry> entries(reads->size());
-  size_t unfinished = 0;
-  for (size_t i = 0; i < reads->size(); i++) {
-    GatherRead& r = (*reads)[i];
-    Entry& e = entries[i];
-    if (r.replicas.empty()) {
-      r.status = Status::Unavailable("no replicas");
-      e.finished = true;
+Status PendingRead::Wait(std::string* out, const util::Deadline& deadline) {
+  if (state_ == nullptr) {
+    return Status::InvalidArgument("invalid pending read");
+  }
+  State& st = *state_;
+  for (;;) {
+    // Harvest every attempt that landed — past the deadline, every attempt
+    // (Finish then withdraws those still in flight). First success wins.
+    bool expired = deadline.expired();
+    size_t live = 0;
+    size_t oldest = 0;
+    for (size_t i = 0; i < st.attempts.size(); i++) {
+      if (st.attempts[i].done) {
+        continue;
+      }
+      if (!expired && !st.attempts[i].future.ready()) {
+        if (live++ == 0) {
+          oldest = i;
+        }
+        continue;
+      }
+      Status s = Finish(i, out, deadline);
+      if (s.ok()) {
+        if (st.attempts[i].hedge) {
+          st.client->hedged_won_.fetch_add(1, std::memory_order_relaxed);
+        }
+        // First success wins: dropping the state withdraws the losers, so
+        // their late responses are dropped.
+        state_.reset();
+        return s;
+      }
+      st.last_error = s;
+    }
+    if (live == 0) {
+      // Every issued attempt failed: fail over to the next candidate, or
+      // surface the last error once they are exhausted.
+      if (st.next < st.order.size() && !expired) {
+        Issue(/*hedge=*/false);
+        continue;
+      }
+      return st.last_error;
+    }
+    // Straggler mitigation: one speculative attempt to the next candidate
+    // once the read is outstanding past the hedge delay.
+    bool hedge_due = st.hedge_pending && st.next < st.order.size();
+    Clock::time_point now = Clock::now();
+    if (hedge_due && now >= st.hedge_at) {
+      Issue(/*hedge=*/true);
       continue;
     }
+    // Sleep on the oldest attempt until it lands or the deadline — or,
+    // while attempts race or a hedge is pending, until the hedge is due or
+    // a poll slice passes (another attempt may win first).
+    util::Deadline wake = deadline;
+    if (live > 1 || hedge_due) {
+      Clock::time_point t = live > 1 ? now + kRacePollSlice : st.hedge_at;
+      if (hedge_due) {
+        t = std::min(t, st.hedge_at);
+      }
+      if (deadline.infinite() || t < deadline.at()) {
+        wake = util::Deadline::At(t);
+      }
+    }
+    st.attempts[oldest].future.ReadyBy(wake);
+  }
+}
+
+void PendingRead::Cancel() {
+  if (state_ == nullptr) {
+    return;
+  }
+  for (State::Attempt& a : state_->attempts) {
+    if (!a.done && a.future.Cancel()) {
+      State::Drop(&a);
+    }
+  }
+  // No failover or hedge after a cancel.
+  state_->next = state_->order.size();
+  state_->last_error = Status::IOError("rpc cancelled");
+}
+
+PendingRead StocClient::Read(const std::vector<BlockLocation>& replicas,
+                             uint64_t offset, uint64_t size) {
+  PendingRead read;
+  read.state_ = std::make_unique<PendingRead::State>();
+  PendingRead::State& st = *read.state_;
+  st.client = this;
+  st.replicas = replicas;
+  st.offset = offset;
+  st.size = size;
+  size_t d = replicas.empty() ? 0 : 1;
+  if (replicas.size() > 1) {
     // Power-of-d selection: rank the candidates by tracked load and fan
-    // the read out to the d least-loaded; the first success wins. The
-    // breaker caps the fan-out at the routable replicas (they rank
-    // first) so suspect/dead StoCs see no speculative traffic — only
-    // failover/hedge attempts, which AdmitRpc gates down to the
-    // half-open probe trickle.
-    e.order = RankReplicas(r.replicas);
+    // the read out to the d least-loaded. The breaker caps the fan-out at
+    // the routable replicas (they rank first) so suspect/dead StoCs see
+    // no speculative traffic — only failover/hedge attempts, which
+    // AdmitRpc gates down to the half-open probe trickle.
+    ReadPolicy policy = read_policy();
+    st.order = RankReplicas(replicas);
     size_t routable = 0;
-    for (const GatherRead::Target& t : r.replicas) {
-      if (IsRoutable(t.stoc)) {
+    for (const BlockLocation& r : replicas) {
+      if (IsRoutable(r.stoc_id)) {
         routable++;
       }
     }
-    size_t d = std::max<size_t>(
-        1, std::min<size_t>(policy.replica_d, e.order.size()));
+    d = std::max<size_t>(
+        1, std::min<size_t>(policy.replica_d, replicas.size()));
     if (routable > 0) {
       d = std::min(d, routable);
-    }
-    e.issued_at_us = NowUs();
-    for (size_t a = 0; a < d; a++) {
-      const GatherRead::Target& t = r.replicas[e.order[e.next_candidate++]];
-      e.attempts.push_back(
-          Attempt{AsyncReadBlock(t.stoc, t.file_id, r.offset, r.size)});
     }
     if (d > 1) {
       pod_reads_.fetch_add(1, std::memory_order_relaxed);
     }
-    unfinished++;
+    if (policy.hedge) {
+      st.hedge_pending = true;
+      st.hedge_at = Clock::now() + std::chrono::microseconds(HedgeDelayUs());
+    }
+  } else {
+    st.order.assign(replicas.size(), 0);
   }
-
-  uint64_t hedge_delay_us = policy.hedge ? HedgeDelayUs() : 0;
-  uint64_t deadline_us =
-      NowUs() + static_cast<uint64_t>(timeout_ms) * 1000;
-  while (unfinished > 0) {
-    bool progress = false;
-    uint64_t now_us = NowUs();
-    for (size_t i = 0; i < reads->size(); i++) {
-      GatherRead& r = (*reads)[i];
-      Entry& e = entries[i];
-      if (e.finished) {
-        continue;
-      }
-      size_t live = 0;
-      for (Attempt& a : e.attempts) {
-        if (a.done) {
-          continue;
-        }
-        if (!a.pending.ready()) {
-          live++;
-          continue;
-        }
-        Status s = a.pending.Wait(&r.data, /*timeout_ms=*/0);
-        a.done = true;
-        progress = true;
-        if (s.ok()) {
-          r.status = Status::OK();
-          e.finished = true;
-          unfinished--;
-          if (a.is_hedge) {
-            hedged_won_.fetch_add(1, std::memory_order_relaxed);
-          }
-          // First success wins: withdraw the losing attempts so their
-          // late responses are dropped (duplicate completions that
-          // already landed are simply discarded).
-          for (Attempt& other : e.attempts) {
-            if (!other.done) {
-              other.pending.Cancel();
-              other.done = true;
-            }
-          }
-          break;
-        }
-        e.last_error = s;
-      }
-      if (e.finished) {
-        continue;
-      }
-      if (live == 0) {
-        // Every issued attempt failed: fail over to the next candidate,
-        // or surface the last error once they are exhausted.
-        if (e.next_candidate < e.order.size()) {
-          const GatherRead::Target& t =
-              r.replicas[e.order[e.next_candidate++]];
-          e.attempts.push_back(
-              Attempt{AsyncReadBlock(t.stoc, t.file_id, r.offset, r.size)});
-          progress = true;
-        } else {
-          r.status = e.last_error.ok()
-                         ? Status::Unavailable("all replicas failed")
-                         : e.last_error;
-          e.finished = true;
-          unfinished--;
-        }
-        continue;
-      }
-      // Straggler mitigation: one speculative attempt to the next
-      // candidate once the entry is outstanding past the hedge delay.
-      if (policy.hedge && !e.hedged && e.next_candidate < e.order.size() &&
-          now_us - e.issued_at_us >= hedge_delay_us) {
-        const GatherRead::Target& t = r.replicas[e.order[e.next_candidate++]];
-        Attempt hedge{AsyncReadBlock(t.stoc, t.file_id, r.offset, r.size)};
-        hedge.is_hedge = true;
-        e.attempts.push_back(std::move(hedge));
-        e.hedged = true;
-        hedged_issued_.fetch_add(1, std::memory_order_relaxed);
-        progress = true;
-      }
-    }
-    if (unfinished == 0) {
-      break;
-    }
-    if (NowUs() >= deadline_us) {
-      for (size_t i = 0; i < reads->size(); i++) {
-        Entry& e = entries[i];
-        if (e.finished) {
-          continue;
-        }
-        for (Attempt& a : e.attempts) {
-          if (!a.done) {
-            a.pending.Cancel();
-            a.done = true;
-          }
-        }
-        (*reads)[i].status = Status::Unavailable("rpc deadline exceeded");
-        e.finished = true;
-        unfinished--;
-      }
-      break;
-    }
-    if (!progress) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+  for (size_t i = 0; i < d; i++) {
+    read.Issue(/*hedge=*/false);
   }
-  for (const GatherRead& r : *reads) {
-    if (!r.status.ok()) {
-      return r.status;
-    }
-  }
-  return Status::OK();
+  return read;
 }
 
 Status StocClient::DeleteFile(rdma::NodeId stoc, uint64_t file_id,
@@ -686,12 +653,12 @@ Status StocClient::NicAppend(const InMemFileHandle& handle,
 }
 
 Status StocClient::GetStats(rdma::NodeId stoc, StocStats* stats,
-                            int timeout_ms) {
+                            const util::Deadline& deadline) {
   std::string req;
   req.push_back(kOpStats);
   std::string storage;
   Slice body;
-  Status s = IdempotentCall(stoc, req, &body, &storage, timeout_ms);
+  Status s = IdempotentCall(stoc, req, &body, &storage, deadline);
   if (!s.ok()) {
     return s;
   }
@@ -772,24 +739,26 @@ Status StocClient::ListFiles(rdma::NodeId stoc,
 }
 
 Status StocClient::CopyFileTo(rdma::NodeId stoc, uint64_t file_id,
-                              rdma::NodeId dst) {
+                              rdma::NodeId dst,
+                              const util::Deadline& deadline) {
   std::string req;
   req.push_back(kOpCopyFileTo);
   PutVarint64(&req, file_id);
   PutVarint32(&req, static_cast<uint32_t>(dst));
   std::string storage;
   Slice body;
-  return SimpleCall(stoc, req, &body, &storage, 60000);
+  return SimpleCall(stoc, req, &body, &storage, deadline);
 }
 
 Status StocClient::Compaction(rdma::NodeId stoc, const Slice& job,
-                              std::string* result, int timeout_ms) {
+                              std::string* result,
+                              const util::Deadline& deadline) {
   std::string req;
   req.push_back(kOpCompaction);
   req.append(job.data(), job.size());
   std::string storage;
   Slice body;
-  Status s = SimpleCall(stoc, req, &body, &storage, timeout_ms);
+  Status s = SimpleCall(stoc, req, &body, &storage, deadline);
   if (!s.ok()) {
     return s;
   }

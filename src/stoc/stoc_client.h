@@ -2,6 +2,14 @@
 // executor, and StoCs themselves during StoC-to-StoC copies). Implements
 // the append flow of Figure 10 and the one-sided in-memory file protocol
 // of Section 6.1 on top of the shared RpcEndpoint.
+//
+// Reads have one shape: Read(replicas, offset, size) issues the read now
+// and returns a PendingRead; PendingRead::Wait(&out, deadline) collects
+// it, doing replica choice, failover and hedging on the way (§4.4's
+// power-of-d, applied to reads). A batch issues every Read, then Waits
+// each under one deadline. Every other wait (appends, management calls)
+// also takes a util::Deadline from its caller, defaulting to
+// rdma::RpcDeadline().
 #ifndef NOVA_STOC_STOC_CLIENT_H_
 #define NOVA_STOC_STOC_CLIENT_H_
 
@@ -65,39 +73,45 @@ struct StocLoad {
   std::atomic<int> rank_bias{0};
 };
 
-/// An in-flight ReadBlock. Wait() parses the StoC response frame.
-/// Move-only: the read owns one unit of its StoC's outstanding-load count
-/// until it is waited, cancelled, or dropped.
+/// One block read in flight (StocClient::Read). The read owns its
+/// attempts — the RPCs issued so far to replicas of the block — and Wait()
+/// drives them to one result under the client's ReadPolicy: the first
+/// success wins and the losers are cancelled, a failed attempt fails over
+/// to the next-least-loaded replica, and a straggling read gets one hedge
+/// after HedgeDelayUs(). Move-only; dropping it cancels every attempt
+/// still in flight and releases its StoC load units.
 class PendingRead {
  public:
-  PendingRead() = default;
-  ~PendingRead() { Settle(false); }
-  PendingRead(PendingRead&& o) noexcept { *this = std::move(o); }
-  PendingRead& operator=(PendingRead&& o) noexcept;
-  PendingRead(const PendingRead&) = delete;
-  PendingRead& operator=(const PendingRead&) = delete;
+  PendingRead();
+  ~PendingRead();
+  PendingRead(PendingRead&&) noexcept;
+  PendingRead& operator=(PendingRead&&) noexcept;
 
-  bool valid() const { return future_.valid(); }
-  /// True once the response (or a failure) landed; never blocks.
-  bool ready() const { return future_.ready(); }
-  Status Wait(std::string* out, int timeout_ms = 30000);
-  /// Withdraw a losing duplicated/hedged attempt: the late response is
-  /// dropped and the StoC's load count is released now. Safe when the
-  /// completion already landed (it is simply discarded).
+  bool valid() const { return state_ != nullptr; }
+  /// True once some attempt has a result; never blocks.
+  bool ready() const;
+  /// Block until the read has a result or the deadline passes. A batch
+  /// issues every Read first, then Waits each under one shared deadline.
+  /// A read with one replica blocks on its single RPC up to the deadline.
+  /// A successful Wait consumes the read (valid() turns false).
+  Status Wait(std::string* out,
+              const util::Deadline& deadline = rdma::RpcDeadline());
+  /// Withdraw the attempts still in flight: their late responses are
+  /// dropped and their StoCs' load counts released now. An attempt whose
+  /// response already landed is kept, so Wait still returns it.
   void Cancel();
 
  private:
   friend class StocClient;
-  /// Release the outstanding-load unit; feed the latency sample into the
-  /// EWMA/histogram only when the read completed successfully.
-  void Settle(bool record_latency);
+  struct State;
 
-  rdma::Future future_;
-  std::shared_ptr<StocLoad> load_;
-  StocClient* client_ = nullptr;
-  rdma::NodeId stoc_ = -1;
-  uint64_t start_us_ = 0;
-  bool settled_ = false;
+  /// Issue the next candidate replica's attempt.
+  void Issue(bool hedge);
+  /// Collect attempt i, blocking up to the deadline; fills *out on
+  /// success and settles the attempt's load, latency and membership.
+  Status Finish(size_t i, std::string* out, const util::Deadline& deadline);
+
+  std::unique_ptr<State> state_;
 };
 
 /// An in-flight AppendBlock following the Figure-10 flow. The block data
@@ -122,7 +136,8 @@ class PendingAppend {
   Status Arm();
   /// Step 3: wait for the flush acknowledgment; decodes *handle. Reaps
   /// the completion token on failure, so no cleanup call is needed.
-  Status Wait(StocBlockHandle* handle, int timeout_ms = 30000);
+  Status Wait(StocBlockHandle* handle,
+              const util::Deadline& deadline = rdma::RpcDeadline());
 
  private:
   friend class StocClient;
@@ -140,21 +155,6 @@ class PendingAppend {
   bool settled_ = false;
 };
 
-/// One read in a GatherReads batch: candidate replica locations (tried in
-/// order) plus the byte range; status/data are filled by the gather.
-struct GatherRead {
-  struct Target {
-    rdma::NodeId stoc = -1;
-    uint64_t file_id = 0;
-  };
-  std::vector<Target> replicas;
-  uint64_t offset = 0;
-  uint64_t size = 0;  // 0 = whole file
-
-  Status status;
-  std::string data;
-};
-
 class StocClient {
  public:
   /// endpoint is shared with the owning component (its xchg threads route
@@ -169,38 +169,19 @@ class StocClient {
   Status AppendBlock(rdma::NodeId stoc, uint64_t file_id, const Slice& data,
                      StocBlockHandle* handle);
 
-  /// Read [offset, offset+size) of a persistent file. size 0 = whole file.
-  Status ReadBlock(rdma::NodeId stoc, uint64_t file_id, uint64_t offset,
-                   uint64_t size, std::string* out);
-
-  /// --- Asynchronous data path (the fan-out substrate: scatter writes,
-  /// parity gathers, scan readahead all ride on these) ---
-
   /// Begin an append (step 1 of Figure 10: the buffer-grant RPC plus the
   /// completion-token registration). See PendingAppend for the protocol.
   PendingAppend AsyncAppendBlock(rdma::NodeId stoc, uint64_t file_id,
                                  const Slice& data);
-  /// Begin a read; collect it with PendingRead::Wait.
-  PendingRead AsyncReadBlock(rdma::NodeId stoc, uint64_t file_id,
-                             uint64_t offset, uint64_t size);
-  /// Begin a read against the least-loaded of the candidate replicas
-  /// (readahead path: one attempt, no hedging).
-  PendingRead AsyncReadLeastLoaded(
-      const std::vector<GatherRead::Target>& replicas, uint64_t offset,
-      uint64_t size);
-  /// Issue every read concurrently under the client's ReadPolicy: each
-  /// entry goes to its d least-loaded replicas (first success wins, the
-  /// losers are cancelled), fails over to the remaining candidates when
-  /// every issued attempt errors, and hedges a straggling entry to the
-  /// next-least-loaded replica after the p99-derived hedge delay. Fills
-  /// each entry's status/data; returns OK iff every entry succeeded (the
-  /// first failure otherwise — all entries are still driven to
-  /// completion).
-  Status GatherReads(std::vector<GatherRead>* reads, int timeout_ms = 30000);
-  /// Single replicated read: a one-entry GatherReads.
-  Status ReadReplicated(const std::vector<GatherRead::Target>& replicas,
-                        uint64_t offset, uint64_t size, std::string* out,
-                        int timeout_ms = 30000);
+
+  /// Read [offset, offset+size) of a persistent block (size 0 = the whole
+  /// file) from one of its replicas — the only read call. It ranks the
+  /// replicas by tracked load and issues the read now to the d
+  /// least-loaded (power-of-d, ReadPolicy::replica_d; suspect/dead StoCs
+  /// rank last and get no speculative traffic). Collect the block with
+  /// PendingRead::Wait. A single read is Read(...).Wait(&out).
+  PendingRead Read(const std::vector<BlockLocation>& replicas,
+                   uint64_t offset, uint64_t size);
 
   /// --- Membership circuit breaker (ISSUE 9) ---
   ///
@@ -239,8 +220,9 @@ class StocClient {
   /// policy floor), or the floor alone until enough samples accumulated.
   uint64_t HedgeDelayUs();
 
-  /// Lifetime count of ReadBlock RPCs issued through this client (the
-  /// block-cache benchmarks report StoC reads avoided with it).
+  /// Lifetime count of block-read RPCs issued through this client, one
+  /// per attempt (the block-cache benchmarks report StoC reads avoided
+  /// with it).
   uint64_t read_block_calls() const {
     return read_block_calls_.load(std::memory_order_relaxed);
   }
@@ -287,20 +269,26 @@ class StocClient {
 
   /// --- Introspection / management ---
 
-  /// timeout_ms: load probes (power-of-d placement) pass a short budget
-  /// so a StoC dying mid-probe cannot stall the caller for the full RPC
-  /// timeout.
+  /// Budgets for the two RPCs that do a whole job at the StoC.
+  static constexpr int64_t kCopyFileBudgetMs = 60000;
+  static constexpr int64_t kCompactionBudgetMs = 120000;
+
+  /// Load probes (power-of-d placement) pass a short deadline so a StoC
+  /// dying mid-probe cannot stall the caller for a whole RPC budget.
   Status GetStats(rdma::NodeId stoc, StocStats* stats,
-                  int timeout_ms = 30000);
+                  const util::Deadline& deadline = rdma::RpcDeadline());
   /// In-memory log files of a range: used by LogC recovery.
   Status QueryLogFiles(rdma::NodeId stoc, uint32_t range_id,
                        std::vector<InMemFileHandle>* handles);
   Status ListFiles(rdma::NodeId stoc, std::vector<uint64_t>* files);
   /// Ask stoc to copy file_id to dst (graceful decommission path).
-  Status CopyFileTo(rdma::NodeId stoc, uint64_t file_id, rdma::NodeId dst);
+  Status CopyFileTo(rdma::NodeId stoc, uint64_t file_id, rdma::NodeId dst,
+                    const util::Deadline& deadline =
+                        util::Deadline::After(kCopyFileBudgetMs));
   /// Offloaded compaction round trip.
   Status Compaction(rdma::NodeId stoc, const Slice& job, std::string* result,
-                    int timeout_ms = 120000);
+                    const util::Deadline& deadline =
+                        util::Deadline::After(kCompactionBudgetMs));
 
   rdma::RpcEndpoint* endpoint() { return endpoint_; }
 
@@ -312,12 +300,14 @@ class StocClient {
   void CountWire(rdma::NodeId stoc, uint64_t sent, uint64_t received);
 
   Status SimpleCall(rdma::NodeId stoc, const std::string& req, Slice* body,
-                    std::string* storage, int timeout_ms = 30000);
+                    std::string* storage,
+                    const util::Deadline& deadline = rdma::RpcDeadline());
   /// SimpleCall under the unified RetryPolicy, for idempotent
   /// introspection ops only (stats/list/query): transient Unavailable
-  /// results are retried with backoff inside the timeout_ms budget.
+  /// results are retried with backoff until the deadline.
   Status IdempotentCall(rdma::NodeId stoc, const std::string& req, Slice* body,
-                        std::string* storage, int timeout_ms = 30000);
+                        std::string* storage,
+                        const util::Deadline& deadline = rdma::RpcDeadline());
   /// Circuit-breaker admission for a single RPC: normal traffic to alive
   /// nodes, a rate-limited probe to suspect/probing ones, nothing to dead
   /// ones.
@@ -325,8 +315,7 @@ class StocClient {
   /// Candidate replica indices ranked by load, least-loaded first
   /// (routable before non-routable, then outstanding+bias, then latency
   /// EWMA, then index for determinism).
-  std::vector<size_t> RankReplicas(
-      const std::vector<GatherRead::Target>& replicas);
+  std::vector<size_t> RankReplicas(const std::vector<BlockLocation>& replicas);
   void RecordReadLatency(uint64_t us);
 
   rdma::RpcEndpoint* endpoint_;

@@ -48,6 +48,14 @@ inline uint8_t FileIdFragment(uint64_t file_id) {
   return static_cast<uint8_t>(file_id & 0xff);
 }
 
+/// One replica of a persistent block: the StoC holding it and its file.
+struct BlockLocation {
+  int32_t stoc_id = -1;
+  uint64_t file_id = 0;
+
+  bool valid() const { return stoc_id >= 0; }
+};
+
 /// Location of one block inside a persistent StoC file.
 struct StocBlockHandle {
   int32_t stoc_id = -1;

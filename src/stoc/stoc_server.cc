@@ -30,6 +30,7 @@ StocServer::StocServer(rdma::RdmaFabric* fabric, rdma::NodeId node,
   endpoint_->set_write_imm_handler([this](rdma::NodeId src, uint32_t imm) {
     HandleWriteImm(src, imm);
   });
+  client_ = std::make_unique<StocClient>(endpoint_.get());
 }
 
 StocServer::~StocServer() { Stop(); }
@@ -431,43 +432,14 @@ void StocServer::DoCopyFileTo(rdma::NodeId src, uint64_t req_id,
     device_->BlockingIo(SimulatedDevice::IoKind::kRead, n, file_id);
     std::string data;
     Status s = store_->Read(file_id, 0, n, &data);
-    if (!s.ok()) {
-      endpoint_->Reply(src, req_id, ErrorResponse(s));
-      return;
-    }
-    // Append the whole file as one block on the destination StoC using the
-    // standard client flow (StoC-to-StoC RDMA, paper Section 9).
-    rdma::Future flush_ack;
-    uint64_t token = endpoint_->AllocToken(&flush_ack);
-    std::string req;
-    req.push_back(kOpAllocBlock);
-    PutVarint64(&req, file_id);
-    PutVarint64(&req, data.size());
-    PutVarint64(&req, token);
-    std::string resp;
-    s = endpoint_->Call(static_cast<rdma::NodeId>(dst), req, &resp);
-    Slice body;
     if (s.ok()) {
-      s = ParseResponse(resp, &body);
+      // Append the whole file as one block on the destination StoC using
+      // the standard client flow (StoC-to-StoC RDMA, paper Section 9).
+      StocBlockHandle handle;
+      s = client_->AppendBlock(static_cast<rdma::NodeId>(dst), file_id, data,
+                               &handle);
     }
-    uint32_t mr_id = 0;
-    if (s.ok() && !GetVarint32(&body, &mr_id)) {
-      s = Status::IOError("bad alloc response");
-    }
-    if (s.ok()) {
-      s = fabric_->Write(node_, data, rdma::RemoteAddr{(int)dst, mr_id, 0},
-                         true, mr_id);
-    }
-    if (s.ok()) {
-      s = flush_ack.Wait(nullptr);
-    } else {
-      flush_ack.Wait(nullptr, 0);  // reap the never-to-complete token
-    }
-    if (!s.ok()) {
-      endpoint_->Reply(src, req_id, ErrorResponse(s));
-      return;
-    }
-    endpoint_->Reply(src, req_id, OkResponse());
+    endpoint_->Reply(src, req_id, s.ok() ? OkResponse() : ErrorResponse(s));
   });
 }
 

@@ -1,9 +1,8 @@
-// Unified retry/deadline machinery (ISSUE 9): a Deadline that propagates
-// through RPC call chains (StocClient -> rdma::Future::Wait) so a wedged
-// StoC surfaces as a typed Status::Unavailable at the configured budget
-// instead of a hard-coded 30 s IOError, and a RetryPolicy with
-// exponential backoff + deterministic jitter replacing the scattered
-// ad-hoc timeout_ms constants.
+// Retry/deadline machinery: a Deadline that the caller of an RPC chain
+// creates once and passes down (StocClient -> rdma::Future::Wait), so a
+// wedged peer surfaces as a typed Status::Unavailable when the caller's
+// budget is gone, and a RetryPolicy with exponential backoff +
+// deterministic jitter that never sleeps past that deadline.
 #ifndef NOVA_UTIL_RETRY_H_
 #define NOVA_UTIL_RETRY_H_
 
@@ -28,19 +27,15 @@ class Deadline {
   /// An infinite deadline (never expires).
   Deadline() = default;
 
+  static Deadline At(Clock::time_point at) {
+    Deadline d;
+    d.has_deadline_ = true;
+    d.at_ = at;
+    return d;
+  }
   static Deadline After(int64_t ms) {
-    Deadline d;
-    d.has_deadline_ = true;
-    d.at_ = Clock::now() + std::chrono::milliseconds(ms);
-    return d;
+    return At(Clock::now() + std::chrono::milliseconds(ms));
   }
-  static Deadline AfterUs(int64_t us) {
-    Deadline d;
-    d.has_deadline_ = true;
-    d.at_ = Clock::now() + std::chrono::microseconds(us);
-    return d;
-  }
-  static Deadline Infinite() { return Deadline(); }
 
   bool infinite() const { return !has_deadline_; }
   bool expired() const { return has_deadline_ && Clock::now() >= at_; }

@@ -1,13 +1,16 @@
 // Tests for the asynchronous StoC I/O pipeline: Future/AsyncCall
-// semantics (out-of-order completion), GatherReads (parallel fan-out,
-// replica failover, mixed success/failure), thread-free scatter writes,
-// degraded parity gathers through one batched read, and scan readahead
-// (hit accounting + identical iteration results with readahead on/off).
+// semantics (out-of-order completion, deadlines, peers leaving the
+// fabric), batches of StocClient::Read (parallel fan-out, replica
+// failover, mixed success/failure), thread-free scatter writes, degraded
+// parity gathers through one batch of reads, and scan readahead (hit
+// accounting + identical iteration results with readahead on/off).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_core/workload.h"
@@ -20,11 +23,18 @@
 #include "stoc/stoc_server.h"
 #include "storage/block_store.h"
 #include "storage/simulated_device.h"
+#include "util/failpoint.h"
 
 namespace nova {
 namespace {
 
 std::string Key(uint64_t i) { return bench::MakeKey(i); }
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 // ---------------------------------------------------------------------------
 // RPC-layer future semantics.
@@ -106,9 +116,65 @@ TEST_F(AsyncRpcTest, WaitTimesOutWhenNoReply) {
   client_->Start();
   rdma::Future f = client_->AsyncCall(1, "void");
   rdma::Future copy = f;
-  EXPECT_TRUE(f.Wait(nullptr, 50).IsUnavailable());
+  EXPECT_TRUE(f.Wait(nullptr, util::Deadline::After(50)).IsUnavailable());
   EXPECT_TRUE(copy.ready());
-  EXPECT_TRUE(copy.Wait(nullptr, 50).IsUnavailable());
+  EXPECT_TRUE(copy.Wait(nullptr, util::Deadline::After(50)).IsUnavailable());
+}
+
+TEST_F(AsyncRpcTest, DroppedReplyWaitsOutTheDeadline) {
+  // The server answers, but every reply is lost on the way back: with
+  // both ends up, only the caller's deadline ends the wait.
+  server_->set_request_handler(
+      [this](rdma::NodeId src, uint64_t req_id, const Slice& payload) {
+        server_->Reply(src, req_id, payload);
+      });
+  server_->Start();
+  client_->Start();
+  util::FailPoint::EnableError("rpc.reply",
+                               Status::Unavailable("injected: rpc.reply"));
+  auto start = std::chrono::steady_clock::now();
+  std::string response;
+  Status s = client_->Call(1, "ping", &response, util::Deadline::After(200));
+  double ms = MsSince(start);
+  util::FailPoint::DisableAll();
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_GE(ms, 180);
+  EXPECT_LT(ms, 2000);
+  EXPECT_EQ(client_->num_pending_waiters(), 0u);
+}
+
+TEST_F(AsyncRpcTest, RemoveNodeFailsWaitersForThatNode) {
+  // Node 1 swallows requests, so a call to it and a token it should
+  // complete can only end by their deadline — or by node 1 leaving the
+  // fabric, which must fail both at once. A waiter on another node stays.
+  fabric_.AddNode(2);
+  rdma::RpcEndpoint other(&fabric_, 2, 1, nullptr);
+  other.set_request_handler([](rdma::NodeId, uint64_t, const Slice&) {});
+  other.Start();
+  server_->set_request_handler([](rdma::NodeId, uint64_t, const Slice&) {});
+  server_->Start();
+  client_->Start();
+  rdma::Future call = client_->AsyncCall(1, "void");
+  rdma::Future token;
+  client_->AllocToken(&token, 1);
+  rdma::Future bystander = client_->AsyncCall(2, "void");
+  EXPECT_EQ(client_->num_pending_waiters(), 3u);
+
+  std::thread remover([this] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    fabric_.RemoveNode(1);
+  });
+  auto start = std::chrono::steady_clock::now();
+  util::Deadline deadline = util::Deadline::After(10000);
+  EXPECT_TRUE(call.Wait(nullptr, deadline).IsUnavailable());
+  EXPECT_TRUE(token.Wait(nullptr, deadline).IsUnavailable());
+  double ms = MsSince(start);
+  remover.join();
+  EXPECT_LT(ms, 2000) << "waiters sat out their deadline";
+  EXPECT_FALSE(bystander.ready());
+  EXPECT_EQ(client_->num_pending_waiters(), 1u);
+  bystander.Cancel();
+  other.Stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -204,18 +270,19 @@ TEST_F(AsyncStocTest, GatherReadsParallelSuccess) {
   ASSERT_TRUE(client_->AppendBlock(kStoc0, f0, "abcdefgh", &h).ok());
   ASSERT_TRUE(client_->AppendBlock(kStoc0 + 1, f1, "01234567", &h).ok());
 
-  std::vector<stoc::GatherRead> reads(3);
-  reads[0].replicas = {{kStoc0, f0}};  // whole file
-  reads[1].replicas = {{kStoc0 + 1, f1}};
-  reads[1].offset = 2;
-  reads[1].size = 4;
-  reads[2].replicas = {{kStoc0, f0}};
-  reads[2].offset = 4;
-  reads[2].size = 4;
-  ASSERT_TRUE(client_->GatherReads(&reads).ok());
-  EXPECT_EQ(reads[0].data, "abcdefgh");
-  EXPECT_EQ(reads[1].data, "2345");
-  EXPECT_EQ(reads[2].data, "efgh");
+  // A batch: issue every read, then wait each under one deadline.
+  std::vector<stoc::PendingRead> reads;
+  reads.push_back(client_->Read({{kStoc0, f0}}, 0, 0));  // whole file
+  reads.push_back(client_->Read({{kStoc0 + 1, f1}}, 2, 4));
+  reads.push_back(client_->Read({{kStoc0, f0}}, 4, 4));
+  util::Deadline deadline = rdma::RpcDeadline();
+  std::string data[3];
+  for (int i = 0; i < 3; i++) {
+    ASSERT_TRUE(reads[i].Wait(&data[i], deadline).ok());
+  }
+  EXPECT_EQ(data[0], "abcdefgh");
+  EXPECT_EQ(data[1], "2345");
+  EXPECT_EQ(data[2], "efgh");
 }
 
 TEST_F(AsyncStocTest, GatherReadsMixedFailureAndFailover) {
@@ -226,20 +293,66 @@ TEST_F(AsyncStocTest, GatherReadsMixedFailureAndFailover) {
   ASSERT_TRUE(client_->AppendBlock(kStoc0, good, "solid", &h).ok());
   ASSERT_TRUE(client_->AppendBlock(kStoc0 + 2, replica2, "backup", &h).ok());
 
-  std::vector<stoc::GatherRead> reads(3);
-  reads[0].replicas = {{kStoc0, good}};
-  // First replica is missing; the second wave fails over to stoc2.
-  reads[1].replicas = {{kStoc0 + 1, missing}, {kStoc0 + 2, replica2}};
-  // No replica exists anywhere: the entry (and the batch) must fail
-  // without poisoning the other entries.
-  reads[2].replicas = {{kStoc0 + 1, missing}};
-  Status s = client_->GatherReads(&reads);
-  EXPECT_FALSE(s.ok());
-  EXPECT_TRUE(reads[0].status.ok());
-  EXPECT_EQ(reads[0].data, "solid");
-  EXPECT_TRUE(reads[1].status.ok());
-  EXPECT_EQ(reads[1].data, "backup");
-  EXPECT_FALSE(reads[2].status.ok());
+  std::vector<stoc::PendingRead> reads;
+  reads.push_back(client_->Read({{kStoc0, good}}, 0, 0));
+  // First replica is missing; the read fails over to stoc2.
+  reads.push_back(
+      client_->Read({{kStoc0 + 1, missing}, {kStoc0 + 2, replica2}}, 0, 0));
+  // No replica exists anywhere: this read must fail without poisoning
+  // the others in the batch.
+  reads.push_back(client_->Read({{kStoc0 + 1, missing}}, 0, 0));
+  util::Deadline deadline = rdma::RpcDeadline();
+  std::string data[3];
+  Status status[3];
+  for (int i = 0; i < 3; i++) {
+    status[i] = reads[i].Wait(&data[i], deadline);
+  }
+  EXPECT_TRUE(status[0].ok());
+  EXPECT_EQ(data[0], "solid");
+  EXPECT_TRUE(status[1].ok());
+  EXPECT_EQ(data[1], "backup");
+  EXPECT_FALSE(status[2].ok());
+}
+
+TEST_F(AsyncStocTest, DroppedReadReplyWaitsOutTheDeadline) {
+  uint64_t fid = stoc::MakeFileId(1, 6, stoc::FileKind::kData, 0);
+  stoc::StocBlockHandle h;
+  ASSERT_TRUE(client_->AppendBlock(kStoc0, fid, "never-arrives", &h).ok());
+  util::FailPoint::EnableError("rpc.reply",
+                               Status::Unavailable("injected: rpc.reply"));
+  auto start = std::chrono::steady_clock::now();
+  std::string out;
+  Status s = client_->Read({{kStoc0, fid}}, 0, 0)
+                 .Wait(&out, util::Deadline::After(200));
+  double ms = MsSince(start);
+  util::FailPoint::DisableAll();
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_GE(ms, 180);
+  EXPECT_LT(ms, 2000);
+  EXPECT_EQ(endpoint_->num_pending_waiters(), 0u);
+  EXPECT_EQ(client_->load(kStoc0)->outstanding.load(), 0);
+}
+
+TEST_F(AsyncStocTest, ReadFailsWhenItsStocLeavesTheFabric) {
+  // A read queued behind a slow disk waits on that StoC; killing the StoC
+  // must fail the read at once, not when its 30 s budget runs out.
+  uint64_t fid = stoc::MakeFileId(1, 7, stoc::FileKind::kData, 0);
+  stoc::StocBlockHandle h;
+  ASSERT_TRUE(client_->AppendBlock(kStoc0, fid, "slow", &h).ok());
+  devices_[0]->InjectLatency(1500 * 1000);
+  stoc::PendingRead read = client_->Read({{kStoc0, fid}}, 0, 0);
+  std::thread killer([this] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    fabric_.RemoveNode(kStoc0);
+  });
+  auto start = std::chrono::steady_clock::now();
+  std::string out;
+  Status s = read.Wait(&out);
+  double ms = MsSince(start);
+  killer.join();
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_LT(ms, 1000) << "the read waited for the slow reply";
+  EXPECT_EQ(endpoint_->num_pending_waiters(), 0u);
 }
 
 TEST_F(AsyncStocTest, ScatterWriteRoundTrip) {
@@ -259,10 +372,7 @@ TEST_F(AsyncStocTest, ScatterWriteRoundTrip) {
   for (int f = 0; f < 3; f++) {
     ASSERT_EQ(meta->fragments[f].size(), 1u);
     std::string frag;
-    ASSERT_TRUE(client_
-                    ->ReadBlock(meta->fragments[f][0].stoc_id,
-                                meta->fragments[f][0].file_id, 0, 0, &frag)
-                    .ok());
+    ASSERT_TRUE(client_->Read(meta->fragments[f], 0, 0).Wait(&frag).ok());
     EXPECT_EQ(frag, data.substr(offset, meta->fragment_sizes[f]));
     offset += meta->fragment_sizes[f];
   }

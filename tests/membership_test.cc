@@ -391,7 +391,7 @@ TEST(RepairTest, RebuiltFragmentsAreByteIdenticalCompressedImages) {
             }
             std::string bytes;
             ASSERT_TRUE(
-                client->ReadBlock(victim, loc.file_id, 0, 0, &bytes).ok());
+                client->Read({{victim, loc.file_id}}, 0, 0).Wait(&bytes).ok());
             ASSERT_EQ(bytes.size(), f->fragment_sizes[i]);
             images.push_back({f->number, i, std::move(bytes)});
           }
@@ -431,7 +431,7 @@ TEST(RepairTest, RebuiltFragmentsAreByteIdenticalCompressedImages) {
           ASSERT_NE(loc.stoc_id, victim);
           std::string bytes;
           ASSERT_TRUE(
-              client->ReadBlock(loc.stoc_id, loc.file_id, 0, 0, &bytes).ok());
+              client->Read({loc}, 0, 0).Wait(&bytes).ok());
           EXPECT_TRUE(bytes == img.bytes)
               << "rebuilt fragment " << img.fragment << " of file "
               << img.number << " differs from the lost image";

@@ -65,9 +65,9 @@ class ReadPathTest : public testing::Test {
 
   /// Store the same block on every StoC under one file id; returns the
   /// replica target list for reads.
-  std::vector<stoc::GatherRead::Target> Replicate(uint64_t file_id,
+  std::vector<stoc::BlockLocation> Replicate(uint64_t file_id,
                                                   const std::string& data) {
-    std::vector<stoc::GatherRead::Target> targets;
+    std::vector<stoc::BlockLocation> targets;
     for (int i = 0; i < kNumStocs; i++) {
       stoc::StocBlockHandle handle;
       EXPECT_TRUE(
@@ -99,7 +99,7 @@ TEST_F(ReadPathTest, PowerOfDPicksLeastLoadedReplica) {
   client_->load(kStoc0 + 2)->rank_bias.store(5);
   for (int i = 0; i < 10; i++) {
     std::string out;
-    ASSERT_TRUE(client_->ReadReplicated(targets, 0, 0, &out).ok());
+    ASSERT_TRUE(client_->Read(targets, 0, 0).Wait(&out).ok());
     EXPECT_EQ(out, "replicated-block");
   }
   EXPECT_EQ(client_->load(kStoc0 + 0)->issued.load(), 0u);
@@ -112,7 +112,7 @@ TEST_F(ReadPathTest, PowerOfDPicksLeastLoadedReplica) {
   client_->load(kStoc0 + 1)->rank_bias.store(5);
   client_->load(kStoc0 + 2)->rank_bias.store(0);
   std::string out;
-  ASSERT_TRUE(client_->ReadReplicated(targets, 0, 0, &out).ok());
+  ASSERT_TRUE(client_->Read(targets, 0, 0).Wait(&out).ok());
   EXPECT_EQ(client_->load(kStoc0 + 0)->issued.load(), 1u);
   EXPECT_EQ(client_->load(kStoc0 + 1)->issued.load(), 10u);
 }
@@ -129,7 +129,7 @@ TEST_F(ReadPathTest, PowerOfDFansOutToDReplicas) {
   client_->load(kStoc0 + 1)->rank_bias.store(9);  // ranks last
   uint64_t pod_before = client_->pod_reads();
   std::string out;
-  ASSERT_TRUE(client_->ReadReplicated(targets, 0, 0, &out).ok());
+  ASSERT_TRUE(client_->Read(targets, 0, 0).Wait(&out).ok());
   EXPECT_EQ(out, "fan-out");
   // Both least-loaded replicas were tried up front; the busy one not at
   // all (both issued attempts succeed, so failover never reaches it).
@@ -138,8 +138,8 @@ TEST_F(ReadPathTest, PowerOfDFansOutToDReplicas) {
   EXPECT_EQ(client_->load(kStoc0 + 2)->issued.load(), 1u);
   EXPECT_EQ(client_->pod_reads(), pod_before + 1);
 
-  // Outstanding-load units all returned once the gather settled winners
-  // and cancelled losers; no waiter slot leaked in the endpoint.
+  // Outstanding-load units all returned once the read settled its winner
+  // and cancelled the loser; no waiter slot leaked in the endpoint.
   for (int i = 0; i < kNumStocs; i++) {
     EXPECT_EQ(client_->load(kStoc0 + i)->outstanding.load(), 0);
   }
@@ -161,10 +161,10 @@ TEST_F(ReadPathTest, HedgedRequestWinsOverDelayedStoc) {
 
   // All load equal -> ranking falls back to replica order, so the
   // straggler is picked first and only the hedge can finish quickly.
-  std::vector<stoc::GatherRead::Target> two = {targets[0], targets[1]};
+  std::vector<stoc::BlockLocation> two = {targets[0], targets[1]};
   uint64_t start = NowUs();
   std::string out;
-  ASSERT_TRUE(client_->ReadReplicated(two, 0, 0, &out).ok());
+  ASSERT_TRUE(client_->Read(two, 0, 0).Wait(&out).ok());
   uint64_t elapsed = NowUs() - start;
   EXPECT_EQ(out, "hedge-me");
   // The hedge fired and won: way faster than the injected 300 ms.
@@ -184,8 +184,7 @@ TEST_F(ReadPathTest, CancelReleasesLoadAndDropsLateResponse) {
   auto targets = Replicate(fid, "cancel-me");
 
   devices_[0]->InjectLatency(200 * 1000);
-  stoc::PendingRead slow =
-      client_->AsyncReadBlock(kStoc0, fid, 0, 0);
+  stoc::PendingRead slow = client_->Read({targets[0]}, 0, 0);
   ASSERT_TRUE(slow.valid());
   EXPECT_EQ(client_->load(kStoc0)->outstanding.load(), 1);
 
@@ -197,16 +196,15 @@ TEST_F(ReadPathTest, CancelReleasesLoadAndDropsLateResponse) {
 
   // The client stays fully usable while the cancelled response is still
   // in flight; when it lands it hits a withdrawn waiter and is dropped.
-  ASSERT_TRUE(
-      client_->ReadReplicated({targets[1]}, 0, 0, &out).ok());
+  ASSERT_TRUE(client_->Read({targets[1]}, 0, 0).Wait(&out).ok());
   EXPECT_EQ(out, "cancel-me");
 }
 
 TEST_F(ReadPathTest, CancelAfterCompletionKeepsResult) {
   uint64_t fid = stoc::MakeFileId(1, 5, stoc::FileKind::kData, 0);
-  Replicate(fid, "already-done");
+  auto targets = Replicate(fid, "already-done");
 
-  stoc::PendingRead read = client_->AsyncReadBlock(kStoc0 + 1, fid, 0, 0);
+  stoc::PendingRead read = client_->Read({targets[1]}, 0, 0);
   ASSERT_TRUE(read.valid());
   // Let the completion land before cancelling (duplicate-completion
   // ordering: cancel loses the race, the result must survive).
@@ -245,13 +243,13 @@ TEST_F(ReadPathTest, FailoverExhaustsReplicasBeforeFailing) {
   devices_[0]->Fail();
   devices_[1]->Fail();
   std::string out;
-  ASSERT_TRUE(client_->ReadReplicated(targets, 0, 0, &out).ok());
+  ASSERT_TRUE(client_->Read(targets, 0, 0).Wait(&out).ok());
   EXPECT_EQ(out, "failover");
   EXPECT_EQ(client_->load(kStoc0 + 2)->issued.load(), 1u);
 
-  // With every replica failing, the gather reports the failure.
+  // With every replica failing, the read reports the failure.
   devices_[2]->Fail();
-  EXPECT_FALSE(client_->ReadReplicated(targets, 0, 0, &out).ok());
+  EXPECT_FALSE(client_->Read(targets, 0, 0).Wait(&out).ok());
   EXPECT_EQ(endpoint_->num_pending_waiters(), 0u);
 }
 
@@ -269,8 +267,7 @@ TEST_F(ReadPathTest, StatCountersRollUpThroughLtcServer) {
   // A replicated read through the LTC's shared client counts as one
   // power-of-d read node-wide.
   std::string out;
-  ASSERT_TRUE(
-      server.stoc_client()->ReadReplicated(targets, 0, 0, &out).ok());
+  ASSERT_TRUE(server.stoc_client()->Read(targets, 0, 0).Wait(&out).ok());
   EXPECT_EQ(out, "rollup");
   ltc::RangeStats stats = server.TotalStats();
   EXPECT_EQ(stats.pod_reads, 1u);
@@ -286,7 +283,8 @@ TEST_F(ReadPathTest, StatCountersRollUpThroughLtcServer) {
   // the fast replica first; pin the straggler to the front instead.
   server.stoc_client()->load(kStoc0 + 1)->rank_bias.store(1);
   ASSERT_TRUE(server.stoc_client()
-                  ->ReadReplicated({targets[0], targets[1]}, 0, 0, &out)
+                  ->Read({targets[0], targets[1]}, 0, 0)
+                  .Wait(&out)
                   .ok());
   stats = server.TotalStats();
   // GE, not EQ: the first read ran under the server's default policy,

@@ -71,10 +71,10 @@ TEST_F(StocTest, PersistentAppendAndRead) {
   EXPECT_EQ(handle.size, 14u);
 
   std::string data;
-  ASSERT_TRUE(client_->ReadBlock(kStoc0, file_id, 0, 14, &data).ok());
+  ASSERT_TRUE(client_->Read({{kStoc0, file_id}}, 0, 14).Wait(&data).ok());
   EXPECT_EQ(data, "block-contents");
   // Whole-file read with size 0.
-  ASSERT_TRUE(client_->ReadBlock(kStoc0, file_id, 0, 0, &data).ok());
+  ASSERT_TRUE(client_->Read({{kStoc0, file_id}}, 0, 0).Wait(&data).ok());
   EXPECT_EQ(data, "block-contents");
   // The flush went through the simulated device.
   EXPECT_GE(devices_[0]->num_writes(), 1u);
@@ -88,7 +88,7 @@ TEST_F(StocTest, MultipleAppendsAccumulate) {
   EXPECT_EQ(h1.offset, 0u);
   EXPECT_EQ(h2.offset, 3u);
   std::string data;
-  ASSERT_TRUE(client_->ReadBlock(kStoc0, file_id, 0, 0, &data).ok());
+  ASSERT_TRUE(client_->Read({{kStoc0, file_id}}, 0, 0).Wait(&data).ok());
   EXPECT_EQ(data, "aaabbbb");
 }
 
@@ -98,7 +98,7 @@ TEST_F(StocTest, DeleteFile) {
   ASSERT_TRUE(client_->AppendBlock(kStoc0, file_id, "x", &handle).ok());
   ASSERT_TRUE(client_->DeleteFile(kStoc0, file_id, false).ok());
   std::string data;
-  EXPECT_FALSE(client_->ReadBlock(kStoc0, file_id, 0, 0, &data).ok());
+  EXPECT_FALSE(client_->Read({{kStoc0, file_id}}, 0, 0).Wait(&data).ok());
 }
 
 TEST_F(StocTest, StatsReportQueueAndBytes) {
@@ -145,7 +145,7 @@ TEST_F(StocTest, CopyFileToAnotherStoc) {
       client_->AppendBlock(kStoc0, file_id, "payload-to-copy", &handle).ok());
   ASSERT_TRUE(client_->CopyFileTo(kStoc0, file_id, kStoc1).ok());
   std::string data;
-  ASSERT_TRUE(client_->ReadBlock(kStoc1, file_id, 0, 0, &data).ok());
+  ASSERT_TRUE(client_->Read({{kStoc1, file_id}}, 0, 0).Wait(&data).ok());
   EXPECT_EQ(data, "payload-to-copy");
 }
 

@@ -272,7 +272,7 @@ TEST_F(RpcTest, TokenCompletion) {
   fabric_.RegisterMemory(1, 3, region, sizeof(region));
 
   rdma::Future completion;
-  uint64_t token = client_->AllocToken(&completion);
+  uint64_t token = client_->AllocToken(&completion, 1);
   ASSERT_LT(token, 1u << 31);  // fits in imm for the test
   ASSERT_TRUE(fabric_
                   .Write(0, Slice("block-bytes"), rdma::RemoteAddr{1, 3, 0},
@@ -298,9 +298,9 @@ TEST_F(RpcTest, CallTimesOut) {
   client_->Start();
   std::string response;
   auto start = std::chrono::steady_clock::now();
-  Status s = client_->Call(1, "ping", &response, 200);
+  Status s = client_->Call(1, "ping", &response, util::Deadline::After(200));
   // Timeouts are typed Unavailable so a wedged StoC is handled like a
-  // dead one (ISSUE 9 satellite).
+  // dead one.
   EXPECT_TRUE(s.IsUnavailable());
   double ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - start)
